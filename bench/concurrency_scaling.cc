@@ -2,18 +2,16 @@
 // lock-free to sharded:
 //
 //   * global shared_mutex         (baselines/global_lock_index.h)
-//   * per-leaf + shared tree lock (baselines/per_leaf_lock_index.h)
 //   * lock-free reads + EBR       (core/concurrent_alex.h)
 //   * sharded + learned routing   (shard/sharded_alex.h)
 //
 // A read-mostly YCSB-B-style workload (95% Zipfian point lookups / 5%
 // inserts of fresh keys; bench/read_mostly.h) runs on T threads against
-// all four wrappers; the table reports aggregate throughput and speedups
+// all three wrappers; the table reports aggregate throughput and speedups
 // over the global lock. With the global lock every insert stalls all
-// readers; with per-leaf latches only readers of the written leaf wait
-// but every operation still RMWs the tree lock's shared counter; the
-// lock-free wrapper descends under an epoch guard and touches nothing
-// shared; the sharded wrapper additionally partitions leaf latches,
+// readers; the lock-free wrapper descends under an epoch guard and
+// latches only its leaf, so only readers of the written leaf wait; the
+// sharded wrapper additionally partitions leaf latches,
 // splits and epoch advancement across independent shards. Shard-count ×
 // thread-count sweeps live in bench/shard_scaling.cc.
 //
@@ -27,7 +25,6 @@
 #include <cstdio>
 
 #include "baselines/global_lock_index.h"
-#include "baselines/per_leaf_lock_index.h"
 #include "bench/common.h"
 #include "bench/read_mostly.h"
 #include "core/concurrent_alex.h"
@@ -47,7 +44,7 @@ int main(int argc, char** argv) {
               "%zu preloaded keys, %.2gs per run\n",
               threads, preload, seconds);
   bench::PrintRule(
-      "global lock vs per-leaf latching vs lock-free reads vs sharded");
+      "global lock vs lock-free reads vs sharded");
 
   struct Variant {
     const char* name;
@@ -59,12 +56,6 @@ int main(int argc, char** argv) {
          return bench::RunReadMostly(
              [] { return baseline::GlobalLockAlex<int64_t, int64_t>(); }, t,
              p, s);
-       }},
-      {"per-leaf latches + shared tree lock",
-       [](size_t t, size_t p, double s) {
-         return bench::RunReadMostly(
-             [] { return baseline::PerLeafLockAlex<int64_t, int64_t>(); },
-             t, p, s);
        }},
       {"lock-free reads + EBR",
        [](size_t t, size_t p, double s) {

@@ -42,6 +42,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,6 @@ void RunRound(Index* index, size_t ops, size_t preload,
               bool odd_chunks_enabled, std::vector<double>* off_s,
               std::vector<double>* on_s) {
   alex::util::Xoshiro256 rng(0x9E3779B97F4A7C15ull);
-  std::vector<std::pair<int64_t, int64_t>> scan_buf;
   std::vector<int64_t> mi_keys(kBatchInsertsPerBlock);
   std::vector<int64_t> mi_payloads(kBatchInsertsPerBlock);
   std::vector<int64_t> get_keys(kGetsPerBlock), get_out(kGetsPerBlock);
@@ -128,7 +128,12 @@ void RunRound(Index* index, size_t ops, size_t preload,
       // Preloaded keys are i << 20; scans and gets land inside that range.
       const int64_t scan_probe = static_cast<int64_t>(
           rng.NextUint64(static_cast<uint64_t>(preload)));
-      sink += index->RangeScan(scan_probe << 20, kScanLen, &scan_buf);
+      size_t scanned = 0;
+      sink += index->Scan(scan_probe << 20,
+                          std::numeric_limits<int64_t>::max(),
+                          [&scanned](const int64_t&, const int64_t&) {
+                            return ++scanned < kScanLen;
+                          });
       for (size_t g = 0; g < kGetsPerBlock; ++g) {
         const int64_t probe = static_cast<int64_t>(
             rng.NextUint64(static_cast<uint64_t>(preload)));

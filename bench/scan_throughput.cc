@@ -8,8 +8,8 @@
 // at the router instead of one serialized copy stream. So each cell runs
 // the same random range queries four ways:
 //
-//   materialize     chunked RangeScan into a reusable buffer, then reduce
-//                   at the caller (the pre-engine baseline)
+//   materialize     Scan(lo, hi) copied into a reusable buffer, then
+//                   reduced at the caller (the pre-engine baseline)
 //   scan_visitor    streaming Scan(lo, hi, visitor), reduce in the visitor
 //                   (no buffer, but still one callback per record)
 //   pushdown_agg    Aggregate(lo, hi) — fused count/sum/min/max SIMD
@@ -21,9 +21,10 @@
 // tracks; the engine's floor is 2x).
 //
 // Sweeps: selectivity ∈ {0.1%, 1%, 10%} × shards ∈ {1, 8} ×
-// scan_threads ∈ {1, 4}. Latency is recorded per query (p50/p99); a
-// single-core container will show no parallel win, which is why the
-// headline ratio is pinned to the single-threaded cell.
+// scan_threads ∈ {1, 4}. scan_threads sets only Aggregate's fan-out; Scan
+// always streams on the calling thread. Latency is recorded per query
+// (p50/p99); a single-core machine will show no parallel win, which is
+// why the headline ratio is pinned to the single-threaded cell.
 //
 // Flags / env:
 // Every mode in a cell replays the same fixed query stream (same seed and
@@ -77,35 +78,24 @@ const char* ModeName(Mode mode) {
   return "?";
 }
 
-/// Materialize-then-reduce baseline: chunked RangeScan into `buf`, caller
-/// sums keys and counts until the range end. This is what every consumer
-/// had to write before the scan engine existed (and what the single-tree
-/// adapters still do).
+/// Materialize-then-reduce baseline: Scan [lo, hi] into `buf`, then the
+/// caller sums keys and counts. This is what every consumer had to write
+/// before the scan engine existed (and what the single-tree adapters
+/// still do).
 uint64_t MaterializeReduce(const Sharded& index, K lo, K hi,
                            std::vector<std::pair<K, P>>* buf,
                            uint64_t* keys_seen) {
-  constexpr size_t kChunk = 4096;
+  buf->clear();
+  index.Scan(lo, hi, [buf](const K& key, const P& payload) {
+    buf->emplace_back(key, payload);
+  });
   uint64_t sum = 0;
-  K resume = lo;
-  bool skip_resume = false;
-  while (true) {
-    const size_t got = index.RangeScan(resume, kChunk, buf);
-    size_t used = 0;
-    for (const auto& [key, payload] : *buf) {
-      (void)payload;
-      if (skip_resume && !(resume < key)) continue;
-      if (hi < key) {
-        *keys_seen += used;
-        return sum;
-      }
-      sum += static_cast<uint64_t>(key);
-      ++used;
-    }
-    *keys_seen += used;
-    if (got < kChunk) return sum;
-    resume = buf->back().first;
-    skip_resume = true;
+  for (const auto& [key, payload] : *buf) {
+    (void)payload;
+    sum += static_cast<uint64_t>(key);
   }
+  *keys_seen += buf->size();
+  return sum;
 }
 
 CellResult RunCell(const Sharded& index, Mode mode, K key_min, K span,

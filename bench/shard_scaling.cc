@@ -1,5 +1,5 @@
 // Shard scaling: shard count × thread count on the read-mostly 95/5
-// workload (bench/read_mostly.h), with the three single-tree wrappers as
+// workload (bench/read_mostly.h), with the two single-tree wrappers as
 // baselines at every thread count. This is the service-layer view of the
 // §7 design space: past the lock-free read path, the remaining tree-global
 // costs (one epoch domain, one root, hot-leaf latches) only fall when the
@@ -33,7 +33,6 @@
 #include <chrono>
 
 #include "baselines/global_lock_index.h"
-#include "baselines/per_leaf_lock_index.h"
 #include "bench/common.h"
 #include "bench/read_mostly.h"
 #include "core/concurrent_alex.h"
@@ -135,11 +134,6 @@ int main(int argc, char** argv) {
         {"global shared_mutex", 0,
          bench::RunReadMostly(
              [] { return baseline::GlobalLockAlex<int64_t, int64_t>(); },
-             threads, preload, seconds)});
-    results.push_back(
-        {"per-leaf latches + shared tree lock", 0,
-         bench::RunReadMostly(
-             [] { return baseline::PerLeafLockAlex<int64_t, int64_t>(); },
              threads, preload, seconds)});
     results.push_back(
         {"lock-free reads + EBR", 0,

@@ -258,17 +258,19 @@ class GappedStorage {
     return got;
   }
 
-  /// Visits every occupied slot in [slot_lo, slot_hi) in ascending order
-  /// as visit(key, payload), without materializing anything. Returns the
-  /// number of slots visited. The scan engine's per-leaf streaming path.
+  /// Visits the occupied slots in [slot_lo, slot_hi) in ascending order
+  /// as visit(key, payload), without materializing anything, until the
+  /// visitor returns false. Returns the number of slots visited, counting
+  /// the one that stopped the walk. The scan engine's per-leaf streaming
+  /// path.
   template <typename Visitor>
   size_t VisitSlots(size_t slot_lo, size_t slot_hi, Visitor&& visit) const {
     if (slot_hi > capacity()) slot_hi = capacity();
     size_t got = 0;
     for (size_t i = bitmap_.NextSet(slot_lo); i < slot_hi;
          i = bitmap_.NextSet(i + 1)) {
-      visit(keys_[i], payloads_[i]);
       ++got;
+      if (!visit(keys_[i], payloads_[i])) break;
     }
     return got;
   }

@@ -34,11 +34,6 @@
 #include "core/node.h"
 #include "models/linear_model.h"
 
-namespace alex::baseline {
-template <typename K, typename P>
-class PerLeafLockAlex;
-}  // namespace alex::baseline
-
 namespace alex::core {
 
 template <typename K, typename P>
@@ -699,7 +694,6 @@ class Alex {
   // ConcurrentAlex additionally descends through root_ with its own
   // memory ordering and splits leaves under node-level locks.
   friend class ConcurrentAlex<K, P>;
-  friend class baseline::PerLeafLockAlex<K, P>;
 
   std::unique_ptr<Config> config_;
   std::unique_ptr<Stats> stats_;

@@ -69,6 +69,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -124,6 +125,21 @@ struct AggResult {
     if constexpr (std::is_arithmetic_v<P>) payloads.Merge(o.payloads);
   }
 };
+
+/// Calls visit(key, payload) and reports whether the scan goes on: a
+/// visitor returning bool stops the scan by returning false, a void
+/// visitor never stops it (the result is a compile-time true, so the walk
+/// compiles to the unconditional loop). The one place the two visitor
+/// shapes are told apart.
+template <typename Visitor, typename K, typename P>
+bool ContinueScan(Visitor& visit, const K& key, const P& payload) {
+  if constexpr (std::is_void_v<decltype(visit(key, payload))>) {
+    visit(key, payload);
+    return true;
+  } else {
+    return static_cast<bool>(visit(key, payload));
+  }
+}
 
 /// A lock-free-read, node-level-locked ALEX. All methods are safe to call
 /// from any thread. Pointer-returning lookups are deliberately not
@@ -368,89 +384,28 @@ class ConcurrentAlex {
     return count;
   }
 
-  /// Range scan into `out`. Read-committed per leaf: each leaf is scanned
-  /// under its shared latch, streaming along the sibling chain; when the
-  /// chain hands us a retired leaf (it split mid-scan), the scan
-  /// re-descends from the root at the first key it has not yet emitted.
-  size_t RangeScan(K start, size_t max_results,
-                   std::vector<std::pair<K, P>>* out) const {
-    out->clear();
-    util::EpochManager::Guard guard(*epoch_);
-    K resume = start;
-    bool emitted = false;
-    const DataNodeT* leaf = DescendAcquire(resume);
-    while (leaf != nullptr && out->size() < max_results) {
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) {
-        CountDescentRetry();
-        latch.unlock();
-        leaf = DescendAcquire(resume);
-        continue;
-      }
-      size_t slot = leaf->LowerBoundSlot(resume);
-      if (emitted && slot < leaf->capacity() &&
-          leaf->KeyAt(slot) == resume) {
-        slot = leaf->NextOccupiedSlot(slot);  // already emitted this key
-      }
-      const size_t before = out->size();
-      leaf->ScanFrom(slot, max_results - out->size(), out);
-      if (out->size() > before) {
-        resume = out->back().first;
-        emitted = true;
-      }
-      const DataNodeT* next = leaf->next_leaf_acquire();
-      latch.unlock();
-      leaf = next;
-    }
-    return out->size();
-  }
-
-  /// Streaming range scan bounded by keys instead of a result cap: visits
-  /// every record with key in [lo, hi] in ascending key order as
-  /// visit(key, payload), never materializing through an intermediate
-  /// buffer. Same consistency contract as RangeScan — read-committed per
-  /// leaf, re-descending at the first unvisited key when the sibling
-  /// chain hands us a retired leaf. The visitor runs under the leaf's
-  /// shared latch: it must be cheap, must not block, and must not call
-  /// back into this index. Returns the number of records visited.
+  /// Streaming range scan: visits every record with key in [lo, hi] in
+  /// ascending key order as visit(key, payload), never materializing
+  /// through an intermediate buffer. A visitor returning bool stops the
+  /// scan by returning false; a void visitor sees the whole range.
+  /// Read-committed per leaf: each leaf is read under its shared latch,
+  /// streaming along the sibling chain; when the chain hands us a retired
+  /// leaf (it split mid-scan), the scan re-descends from the root at the
+  /// first key it has not yet visited, so no key is visited twice. The
+  /// visitor runs under the leaf's shared latch: it must be cheap, must
+  /// not block, and must not call back into this index. Returns the
+  /// number of records visited, counting the one that stopped the scan.
   template <typename Visitor>
   size_t Scan(K lo, K hi, Visitor&& visit) const {
-    if (hi < lo) return 0;
+    bool more = true;
     size_t total = 0;
-    util::EpochManager::Guard guard(*epoch_);
-    K resume = lo;
-    bool emitted = false;
-    const DataNodeT* leaf = DescendAcquire(resume);
-    while (leaf != nullptr) {
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) {
-        CountDescentRetry();
-        latch.unlock();
-        leaf = DescendAcquire(resume);
-        continue;
-      }
-      // Two bounded searches bracket the leaf's contribution as one slot
-      // run; after a resume the strict upper bound skips the last visited
-      // key without a per-record compare.
-      const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
-                                     : leaf->LowerBoundSlot(resume);
-      const size_t slot_hi = leaf->UpperBoundSlot(hi);
-      if (slot_lo < slot_hi) {
-        total += leaf->VisitSlots(slot_lo, slot_hi, visit);
-        const size_t last = leaf->PrevOccupiedSlot(slot_hi);
-        if (last < leaf->capacity() && last >= slot_lo) {
-          resume = leaf->KeyAt(last);
-          emitted = true;
-        }
-      }
-      // A slot past the run means this leaf already holds a key > hi.
-      if (slot_hi < leaf->capacity()) break;
-      const DataNodeT* next = leaf->next_leaf_acquire();
-      latch.unlock();
-      leaf = next;
-    }
+    WalkLeaves(lo, hi, [&](const DataNodeT& leaf, size_t slot_lo,
+                           size_t slot_hi) {
+      total += leaf.VisitSlots(slot_lo, slot_hi, [&](const K& k, const P& p) {
+        return more = ContinueScan(visit, k, p);
+      });
+      return more;
+    });
     return total;
   }
 
@@ -461,36 +416,11 @@ class ConcurrentAlex {
   /// Same walk and consistency contract as Scan.
   AggResult<K, P> Aggregate(K lo, K hi, const AggSpec<P>& spec = {}) const {
     AggResult<K, P> result;
-    if (hi < lo) return result;
-    util::EpochManager::Guard guard(*epoch_);
-    K resume = lo;
-    bool emitted = false;
-    const DataNodeT* leaf = DescendAcquire(resume);
-    while (leaf != nullptr) {
-      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
-                                 "core.leaf_latch_wait_ns");
-      if (leaf->IsRetired()) {
-        CountDescentRetry();
-        latch.unlock();
-        leaf = DescendAcquire(resume);
-        continue;
-      }
-      const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
-                                     : leaf->LowerBoundSlot(resume);
-      const size_t slot_hi = leaf->UpperBoundSlot(hi);
-      if (slot_lo < slot_hi) {
-        AggregateLeafSlots(*leaf, slot_lo, slot_hi, spec, &result);
-        const size_t last = leaf->PrevOccupiedSlot(slot_hi);
-        if (last < leaf->capacity() && last >= slot_lo) {
-          resume = leaf->KeyAt(last);
-          emitted = true;
-        }
-      }
-      if (slot_hi < leaf->capacity()) break;
-      const DataNodeT* next = leaf->next_leaf_acquire();
-      latch.unlock();
-      leaf = next;
-    }
+    WalkLeaves(lo, hi, [&](const DataNodeT& leaf, size_t slot_lo,
+                           size_t slot_hi) {
+      AggregateLeafSlots(leaf, slot_lo, slot_hi, spec, &result);
+      return true;
+    });
     return result;
   }
 
@@ -498,15 +428,18 @@ class ConcurrentAlex {
   /// format). Safe to call with concurrent operations in flight: the
   /// collection walks the leaf chain under an epoch guard with each leaf's
   /// shared latch (re-descending when it races a split, exactly like
-  /// RangeScan), so every leaf's contribution is a consistent slice and
+  /// Scan), so every leaf's contribution is a consistent slice and
   /// every key committed before the call is captured. Writes concurrent
   /// with the walk land read-committed: a fully consistent point-in-time
   /// image additionally requires the caller to quiesce writers, which is
   /// what the shard layer's SaveTo does via its per-shard write gates.
   SnapshotStatus SaveToFile(const std::string& path) const {
     std::vector<std::pair<K, P>> pairs;
-    RangeScan(std::numeric_limits<K>::lowest(),
-              std::numeric_limits<size_t>::max(), &pairs);
+    pairs.reserve(size());
+    Scan(std::numeric_limits<K>::lowest(), std::numeric_limits<K>::max(),
+         [&](const K& key, const P& payload) {
+           pairs.emplace_back(key, payload);
+         });
     return WriteSnapshotFile(path, pairs);
   }
 
@@ -662,6 +595,49 @@ class ConcurrentAlex {
     }
   }
 
+  /// The one leaf walk behind Scan and Aggregate: hands the slot run of
+  /// each live leaf overlapping [lo, hi], in key order, to
+  /// fold(leaf, slot_lo, slot_hi) under the leaf's shared latch; fold
+  /// returns false to end the walk. A retired leaf (it split mid-walk)
+  /// sends the walk back to the root at the first key not yet folded.
+  template <typename LeafFn>
+  void WalkLeaves(K lo, K hi, LeafFn&& fold) const {
+    if (hi < lo) return;
+    util::EpochManager::Guard guard(*epoch_);
+    K resume = lo;
+    bool emitted = false;
+    const DataNodeT* leaf = DescendAcquire(resume);
+    while (leaf != nullptr) {
+      ALEX_OBS_TIMED_SHARED_LOCK(latch, leaf->latch(), "core.leaf_latch_contended",
+                                 "core.leaf_latch_wait_ns");
+      if (leaf->IsRetired()) {
+        CountDescentRetry();
+        latch.unlock();
+        leaf = DescendAcquire(resume);
+        continue;
+      }
+      // Two bounded searches bracket the leaf's contribution as one slot
+      // run; after a resume the strict upper bound skips the last folded
+      // key without a per-record compare.
+      const size_t slot_lo = emitted ? leaf->UpperBoundSlot(resume)
+                                     : leaf->LowerBoundSlot(resume);
+      const size_t slot_hi = leaf->UpperBoundSlot(hi);
+      if (slot_lo < slot_hi) {
+        if (!fold(*leaf, slot_lo, slot_hi)) return;
+        const size_t last = leaf->PrevOccupiedSlot(slot_hi);
+        if (last < leaf->capacity() && last >= slot_lo) {
+          resume = leaf->KeyAt(last);
+          emitted = true;
+        }
+      }
+      // A slot past the run means this leaf already holds a key > hi.
+      if (slot_hi < leaf->capacity()) break;
+      const DataNodeT* next = leaf->next_leaf_acquire();
+      latch.unlock();
+      leaf = next;
+    }
+  }
+
   /// Folds the occupied slots [slot_lo, slot_hi) of one latched live leaf
   /// into `out` per `spec`. Unfiltered aggregates take the fused SIMD
   /// kernels; a filtered count takes the SIMD predicate kernel; filtered
@@ -682,12 +658,13 @@ class ConcurrentAlex {
         util::AggState<P> ps;
         const bool keys_field = spec.field == AggField::kKeys;
         leaf.VisitSlots(slot_lo, slot_hi, [&](const K& k, const P& p) {
-          if (p < spec.filter_lo || spec.filter_hi < p) return;
+          if (p < spec.filter_lo || spec.filter_hi < p) return true;
           if (keys_field) {
             ks.Add(k);
           } else {
             ps.Add(p);
           }
+          return true;
         });
         out->count += keys_field ? ks.count : ps.count;
         out->keys.Merge(ks);

@@ -406,8 +406,9 @@ class DataNode : public Node {
     });
   }
 
-  /// Visits every occupied slot in [slot_lo, slot_hi) as
-  /// visit(key, payload); returns the count. The scan engine's streaming
+  /// Visits the occupied slots in [slot_lo, slot_hi) as
+  /// visit(key, payload) until the visitor returns false; returns the
+  /// count, including the stopping slot. The scan engine's streaming
   /// per-leaf path — no materialization.
   template <typename Visitor>
   size_t VisitSlots(size_t slot_lo, size_t slot_hi, Visitor&& visit) const {

@@ -323,14 +323,13 @@ enum class OpType : uint8_t {
   kInsert,
   kErase,
   kUpdate,
-  kRangeScan,
   kScan,
   kAggregate,
   kMultiGet,
   kMultiInsert,
   kMultiErase,
 };
-constexpr size_t kNumOpTypes = 11;
+constexpr size_t kNumOpTypes = 10;
 
 inline const char* OpName(OpType op) {
   switch (op) {
@@ -339,7 +338,6 @@ inline const char* OpName(OpType op) {
     case OpType::kInsert: return "insert";
     case OpType::kErase: return "erase";
     case OpType::kUpdate: return "update";
-    case OpType::kRangeScan: return "range_scan";
     case OpType::kScan: return "scan";
     case OpType::kAggregate: return "aggregate";
     case OpType::kMultiGet: return "multi_get";

@@ -69,10 +69,11 @@
 //     (and with it the victim shard) is freed only two epoch advances
 //     after retirement.
 //
-//   Scans.   A cross-shard RangeScan pins one table and stitches
-//     per-shard scans in key order; shards are disjoint ascending ranges,
-//     so concatenation is already sorted. Same read-committed contract as
-//     ConcurrentAlex::RangeScan.
+//   Scans.   A cross-shard Scan pins one table and streams the
+//     overlapping shards one after another on the calling thread; shards
+//     are disjoint ascending ranges, so concatenation is already sorted.
+//     Same stoppable visitor and read-committed contract as
+//     ConcurrentAlex::Scan.
 //
 //   Durability.   SaveTo quiesces writers (all gates, in shard order),
 //     writes one serialization.h snapshot per shard plus a checksummed
@@ -122,7 +123,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
@@ -179,10 +179,11 @@ struct ShardedOptions {
   /// Recovery thread-pool width for the per-shard replay (clamped to
   /// the shard count and the hardware concurrency).
   size_t recovery_threads = 8;
-  /// Fan-out width for cross-shard Scan/Aggregate (clamped to the number
-  /// of shards the range overlaps, but deliberately *not* to the hardware
-  /// concurrency — size it to the cores you want scans to use). <= 1 runs
-  /// scans sequentially on the calling thread.
+  /// Fan-out width for cross-shard Aggregate (clamped to the number of
+  /// shards the range overlaps, but deliberately *not* to the hardware
+  /// concurrency — size it to the cores you want aggregates to use). <= 1
+  /// aggregates sequentially on the calling thread. Scan always streams
+  /// on the calling thread.
   size_t scan_threads = 4;
   // ---- Cold tier (src/tier/) ----
   /// Block-cache capacity in bytes for cold-segment reads (see
@@ -609,129 +610,33 @@ class ShardedAlex {
     return shard->TierContains(key, &block_cache_);
   }
 
-  /// Cross-shard range scan: stitches per-shard scans in key order (the
-  /// shards are disjoint ascending ranges, so the concatenation is
-  /// sorted). Read-committed, like ConcurrentAlex::RangeScan; the whole
-  /// scan uses the table pinned at entry, so a concurrent rebalance never
-  /// tears it.
-  size_t RangeScan(K start, size_t max_results,
-                   std::vector<std::pair<K, P>>* out) const {
-    out->clear();
-    obs::ScopedOpTimer op_timer(obs::OpType::kRangeScan);
-    util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    size_t idx = table->router.Route(start);
-    K resume = start;
-    std::vector<std::pair<K, P>> chunk;
-    while (out->size() < max_results && idx < table->shards.size()) {
-      Shard* shard = table->shards[idx].get();
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      if (shard->cold()) {
-        chunk.clear();
-        const size_t want = max_results - out->size();
-        shard->TierScanUntil(resume, std::numeric_limits<K>::max(),
-                             [&](const K& key, const P& payload) {
-                               chunk.emplace_back(key, payload);
-                               return chunk.size() < want;
-                             });
-      } else {
-        shard->index.RangeScan(resume, max_results - out->size(), &chunk);
-      }
-      out->insert(out->end(), chunk.begin(), chunk.end());
-      ++idx;
-      if (idx < table->shards.size()) {
-        resume = table->router.LowerBoundOf(idx);
-      }
-    }
-    return out->size();
-  }
-
   /// Cross-shard streaming scan of [lo, hi], visiting every record in
-  /// ascending key order as visit(key, payload) on the *calling* thread.
-  /// One routing table is pinned for the whole scan. With
-  /// options.scan_threads <= 1 (or a single overlapping shard) each
-  /// shard's ConcurrentAlex::Scan streams straight into the visitor —
-  /// zero buffering. Otherwise worker threads scan the overlapping shards
-  /// concurrently into per-shard chunk queues and the caller drains the
-  /// queues in shard order (the shards are disjoint ascending key ranges,
-  /// so ordered concatenation of the streams is the k-way merge); the
-  /// visitor is still never invoked concurrently. Read-committed per
-  /// leaf, like RangeScan. Returns the number of records visited.
+  /// ascending key order as visit(key, payload) on the calling thread.
+  /// One routing table is pinned for the whole scan, so a concurrent
+  /// rebalance never tears it; the overlapping shards stream into the
+  /// visitor one after another (they are disjoint ascending key ranges,
+  /// so the concatenation is sorted), resident shards through
+  /// ConcurrentAlex::Scan and cold ones through the merged overlay +
+  /// segment stream. A visitor returning false stops the scan, as in
+  /// ConcurrentAlex::Scan. Read-committed per leaf. Returns the number of
+  /// records visited, counting the one that stopped the scan. Kept out of
+  /// line: inlined into perfbench's op-dispatch loop it cost range_scan
+  /// about 10% of its throughput (GCC 12, 4-vCPU x86 VM).
   template <typename Visitor>
-  size_t Scan(K lo, K hi, Visitor&& visit) const {
+  __attribute__((noinline)) size_t Scan(K lo, K hi, Visitor&& visit) const {
     if (hi < lo) return 0;
     obs::ScopedOpTimer op_timer(obs::OpType::kScan);
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
-    const size_t first = table->router.Route(lo);
     const size_t last = table->router.Route(hi);
-    const size_t n = last - first + 1;
-    const size_t workers = std::min(options_.scan_threads, n);
-    if (workers <= 1) {
-      size_t total = 0;
-      for (size_t s = first; s <= last; ++s) {
-        total += ShardScan(table->shards[s].get(), lo, hi, visit);
-      }
-      return total;
-    }
-    // Parallel mode: shard i's results flow through queue i as chunks of
-    // kScanChunkRecords pairs. Workers claim shards in ascending order
-    // (util::ParallelFor's cursor guarantees shard i is claimed before
-    // shard j > i), so the consumer draining queue 0, 1, ... in order can
-    // never deadlock behind an unclaimed earlier shard. The caller's
-    // epoch guard pins the table for the workers; each worker's shard
-    // scan pins its own guard for the leaf walk.
-    struct ChunkQueue {
-      std::mutex mutex;
-      std::condition_variable ready;
-      std::deque<std::vector<std::pair<K, P>>> chunks;
-      bool done = false;
+    bool more = true;
+    const auto step = [&](const K& key, const P& payload) {
+      return more = core::ContinueScan(visit, key, payload);
     };
-    std::vector<ChunkQueue> queues(n);
-    std::thread pump([&] {
-      util::ParallelFor(n, workers, [&](size_t i) {
-        ChunkQueue& q = queues[i];
-        std::vector<std::pair<K, P>> chunk;
-        chunk.reserve(kScanChunkRecords);
-        ShardScan(
-            table->shards[first + i].get(), lo, hi,
-            [&](const K& key, const P& payload) {
-              chunk.emplace_back(key, payload);
-              if (chunk.size() >= kScanChunkRecords) {
-                {
-                  std::lock_guard<std::mutex> lock(q.mutex);
-                  q.chunks.push_back(std::move(chunk));
-                }
-                q.ready.notify_one();
-                chunk = std::vector<std::pair<K, P>>();
-                chunk.reserve(kScanChunkRecords);
-              }
-            });
-        {
-          std::lock_guard<std::mutex> lock(q.mutex);
-          if (!chunk.empty()) q.chunks.push_back(std::move(chunk));
-          q.done = true;
-        }
-        q.ready.notify_one();
-      });
-    });
     size_t total = 0;
-    for (size_t i = 0; i < n; ++i) {
-      ChunkQueue& q = queues[i];
-      while (true) {
-        std::vector<std::pair<K, P>> chunk;
-        {
-          std::unique_lock<std::mutex> lock(q.mutex);
-          q.ready.wait(lock, [&] { return !q.chunks.empty() || q.done; });
-          if (q.chunks.empty()) break;  // done and drained
-          chunk = std::move(q.chunks.front());
-          q.chunks.pop_front();
-        }
-        for (const auto& [key, payload] : chunk) visit(key, payload);
-        total += chunk.size();
-      }
+    for (size_t s = table->router.Route(lo); s <= last && more; ++s) {
+      total += ShardScan(table->shards[s].get(), lo, hi, step);
     }
-    pump.join();
     return total;
   }
 
@@ -1672,8 +1577,8 @@ class ShardedAlex {
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
     /// snapshotted under the shared lock (so the segment stream — which
     /// reads the mapping, not the cache — never runs under it), then
-    /// merge-joined with the segment in ascending key order. `visit`
-    /// returns false to stop early. Returns the records visited.
+    /// merge-joined with the segment in ascending key order. Visitor and
+    /// return value as in ConcurrentAlex::Scan.
     template <typename Visitor>
     size_t TierScanUntil(const K& lo, const K& hi, Visitor&& visit) const {
       std::vector<std::pair<K, DeltaEntry>> overlay;
@@ -1686,41 +1591,31 @@ class ShardedAlex {
       }
       size_t d = 0;
       size_t count = 0;
-      bool stopped = false;
-      segment->ScanUntil(lo, hi, [&](const K& key, const P& payload) {
-        while (d < overlay.size() && overlay[d].first < key) {
-          const auto& e = overlay[d];
-          ++d;
-          if (e.second.tombstone) continue;
-          ++count;
-          if (!visit(e.first, e.second.payload)) {
-            stopped = true;
-            return false;
-          }
-        }
-        if (d < overlay.size() && !(key < overlay[d].first)) {
-          const DeltaEntry e = overlay[d].second;
-          ++d;
-          if (e.tombstone) return true;  // erased segment key
-          ++count;  // updated segment key: overlay payload wins
-          if (!visit(key, e.payload)) {
-            stopped = true;
-            return false;
-          }
-          return true;
-        }
+      bool more = true;
+      const auto emit = [&](const K& key, const P& payload) {
         ++count;
-        if (!visit(key, payload)) {
-          stopped = true;
-          return false;
+        return more = core::ContinueScan(visit, key, payload);
+      };
+      // Emits the live overlay-only records below `*bound` (all remaining
+      // ones when `bound` is null); false once the visitor stopped.
+      const auto emit_overlay_below = [&](const K* bound) {
+        for (; d < overlay.size(); ++d) {
+          if (bound != nullptr && !(overlay[d].first < *bound)) break;
+          const DeltaEntry& e = overlay[d].second;
+          if (!e.tombstone && !emit(overlay[d].first, e.payload)) return false;
         }
         return true;
+      };
+      segment->ScanUntil(lo, hi, [&](const K& key, const P& payload) {
+        if (!emit_overlay_below(&key)) return false;
+        if (d < overlay.size() && !(key < overlay[d].first)) {
+          // Erased segment key (skipped) or updated one (overlay wins).
+          const DeltaEntry& e = overlay[d++].second;
+          return e.tombstone || emit(key, e.payload);
+        }
+        return emit(key, payload);
       });
-      for (; !stopped && d < overlay.size(); ++d) {
-        if (overlay[d].second.tombstone) continue;
-        ++count;
-        if (!visit(overlay[d].first, overlay[d].second.payload)) break;
-      }
+      if (more) emit_overlay_below(nullptr);
       return count;
     }
 
@@ -1750,16 +1645,29 @@ class ShardedAlex {
     return total;
   }
 
-  /// Streaming scan of one shard, resident or cold, visitor returning
-  /// void (the cross-shard Scan shape).
+  /// Streaming scan of one shard, resident or cold, with the visitor
+  /// contract of ConcurrentAlex::Scan.
   template <typename Visitor>
   static size_t ShardScan(const Shard* shard, K lo, K hi,
                           Visitor&& visit) {
-    if (!shard->cold()) return shard->index.Scan(lo, hi, visit);
-    return shard->TierScanUntil(lo, hi, [&](const K& key, const P& p) {
-      visit(key, p);
-      return true;
-    });
+    return shard->cold() ? shard->TierScanUntil(lo, hi, visit)
+                         : shard->index.Scan(lo, hi, visit);
+  }
+
+  /// Collects every record of one shard, resident or cold, into
+  /// `keys`/`payloads` in ascending key order. The caller holds the
+  /// shard's write gate exclusively, so the drain is a point-in-time
+  /// image.
+  static void DrainShard(const Shard* shard, std::vector<K>* keys,
+                         std::vector<P>* payloads) {
+    keys->reserve(shard->TierSize());
+    payloads->reserve(shard->TierSize());
+    ShardScan(shard, std::numeric_limits<K>::lowest(),
+              std::numeric_limits<K>::max(),
+              [&](const K& key, const P& payload) {
+                keys->push_back(key);
+                payloads->push_back(payload);
+              });
   }
 
   /// Aggregate pushdown for a cold shard: one merged overlay+segment
@@ -1773,17 +1681,16 @@ class ShardedAlex {
       if constexpr (std::is_arithmetic_v<P>) {
         if (spec.has_payload_filter &&
             (payload < spec.filter_lo || spec.filter_hi < payload)) {
-          return true;
+          return;
         }
       }
       ++r.count;
-      if (spec.count_only) return true;
+      if (spec.count_only) return;
       if (spec.field == core::AggField::kKeys) {
         r.keys.Add(key);
       } else if constexpr (std::is_arithmetic_v<P>) {
         r.payloads.Add(payload);
       }
-      return true;
     });
     return r;
   }
@@ -2172,15 +2079,7 @@ class ShardedAlex {
         // references the folded copy.
         std::vector<K> keys;
         std::vector<P> payloads;
-        keys.reserve(shard->TierSize());
-        payloads.reserve(shard->TierSize());
-        shard->TierScanUntil(std::numeric_limits<K>::lowest(),
-                             std::numeric_limits<K>::max(),
-                             [&](const K& key, const P& payload) {
-                               keys.push_back(key);
-                               payloads.push_back(payload);
-                               return true;
-                             });
+        DrainShard(shard, &keys, &payloads);
         if (keys.empty()) {
           // Fully erased: segments cannot be empty, so this shard
           // checkpoints as an empty resident snapshot.
@@ -2444,18 +2343,11 @@ class ShardedAlex {
     const std::string prefix = TierPrefix();
     if (prefix.empty()) return core::SnapshotStatus::kIoError;
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    const size_t n = victim->index.size();
-    if (n == 0) return core::SnapshotStatus::kIoError;  // nothing to seal
     std::vector<K> keys;
     std::vector<P> payloads;
-    keys.reserve(n);
-    payloads.reserve(n);
-    victim->index.Scan(std::numeric_limits<K>::lowest(),
-                       std::numeric_limits<K>::max(),
-                       [&](const K& key, const P& payload) {
-                         keys.push_back(key);
-                         payloads.push_back(payload);
-                       });
+    DrainShard(victim, &keys, &payloads);
+    const size_t n = keys.size();
+    if (n == 0) return core::SnapshotStatus::kIoError;  // nothing to seal
     const uint64_t seg_id = next_segment_id_++;
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
     const core::SnapshotStatus status = WriteAndOpenSegment(
@@ -2485,15 +2377,7 @@ class ShardedAlex {
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
     std::vector<K> keys;
     std::vector<P> payloads;
-    keys.reserve(victim->TierSize());
-    payloads.reserve(victim->TierSize());
-    victim->TierScanUntil(std::numeric_limits<K>::lowest(),
-                          std::numeric_limits<K>::max(),
-                          [&](const K& key, const P& payload) {
-                            keys.push_back(key);
-                            payloads.push_back(payload);
-                            return true;
-                          });
+    DrainShard(victim, &keys, &payloads);
     const uint64_t old_segment = victim->segment->id();
     const uint64_t n = keys.size();
     auto resident =
@@ -2532,15 +2416,7 @@ class ShardedAlex {
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
     std::vector<K> keys;
     std::vector<P> payloads;
-    keys.reserve(victim->TierSize());
-    payloads.reserve(victim->TierSize());
-    victim->TierScanUntil(std::numeric_limits<K>::lowest(),
-                          std::numeric_limits<K>::max(),
-                          [&](const K& key, const P& payload) {
-                            keys.push_back(key);
-                            payloads.push_back(payload);
-                            return true;
-                          });
+    DrainShard(victim, &keys, &payloads);
     const uint64_t old_segment = victim->segment->id();
     const uint64_t seg_id = next_segment_id_++;
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
@@ -2620,11 +2496,6 @@ class ShardedAlex {
   /// deterministic under any interleaving) — the write hot path performs
   /// no cross-shard reads.
   static constexpr uint64_t kSkewCheckInterval = 1024;
-
-  /// Records per chunk handed from a parallel-scan worker to the
-  /// consuming caller. Large enough to amortize the queue mutex, small
-  /// enough to keep the ordered merge streaming.
-  static constexpr size_t kScanChunkRecords = 1024;
 
   void MaybeSplit(Table* table, Shard* shard, K hint_key, bool tick) {
     const size_t shard_keys = shard->index.size();

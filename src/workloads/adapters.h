@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -196,9 +197,17 @@ class ShardedAlexAdapter {
   size_t MultiErase(const K* keys, size_t n, bool* erased = nullptr) {
     return index_.MultiErase(keys, n, erased);
   }
+  /// The first `max_results` records from `start`: a Scan whose visitor
+  /// stops once the buffer is full.
   size_t RangeScan(K start, size_t max_results,
                    std::vector<std::pair<K, P>>* out) {
-    return index_.RangeScan(start, max_results, out);
+    out->clear();
+    if (max_results == 0) return 0;
+    return index_.Scan(start, std::numeric_limits<K>::max(),
+                       [&](const K& key, const P& payload) {
+                         out->emplace_back(key, payload);
+                         return out->size() < max_results;
+                       });
   }
   /// Keys in [lo, hi], pushed down below the router: per-shard, per-leaf
   /// bitmap popcounts — nothing is materialized.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/random.h"
+#include "scan_test_util.h"
 
 namespace alex::core {
 namespace {
@@ -44,7 +45,7 @@ TEST(ConcurrentAlexTest, BulkLoadAndScan) {
   }
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   std::vector<std::pair<int64_t, int64_t>> out;
-  EXPECT_EQ(index.RangeScan(100, 5, &out), 5u);
+  EXPECT_EQ(test_util::ScanFirst(index, 100, 5, &out), 5u);
   EXPECT_EQ(out.front().first, 100);
   EXPECT_GT(index.IndexSizeBytes(), 0u);
   EXPECT_GT(index.DataSizeBytes(), 0u);
@@ -166,7 +167,9 @@ TEST(ConcurrentAlexTest, ReadsCompleteWithAllStructuralMutexesHeld) {
     if (!index.Get(19999, &v) || v != 19999 * 3) errors.fetch_add(1);
     if (!index.Contains(15000)) errors.fetch_add(1);
     std::vector<std::pair<int64_t, int64_t>> out;
-    if (index.RangeScan(18000, 100, &out) != 100u) errors.fetch_add(1);
+    if (test_util::ScanFirst(index, 18000, 100, &out) != 100u) {
+      errors.fetch_add(1);
+    }
     if (!index.Update(16000, -1)) errors.fetch_add(1);
     done.store(true, std::memory_order_release);
   });

@@ -20,6 +20,7 @@
 
 #include "util/random.h"
 #include "util/zipf.h"
+#include "scan_test_util.h"
 
 namespace alex::core {
 namespace {
@@ -92,7 +93,7 @@ TEST(ConcurrentStressTest, ZipfWritersDisjointStripesNoLostUpdates) {
           reader_errors.fetch_add(1);
         }
         if (rng.NextUint64(64) == 0) {
-          index.RangeScan(key, 50, &scan);
+          test_util::ScanFirst(index, key, 50, &scan);
           for (size_t i = 0; i < scan.size(); ++i) {
             if (scan[i].second != PayloadFor(scan[i].first)) {
               reader_errors.fetch_add(1);
@@ -268,7 +269,7 @@ TEST(ConcurrentStressTest, SplitTortureReadersChaseMigratingKeys) {
           errors.fetch_add(1);  // preloaded key lost or corrupted
         }
         if (rng.NextUint64(32) == 0) {
-          index.RangeScan(key, 64, &scan);
+          test_util::ScanFirst(index, key, 64, &scan);
           for (size_t i = 0; i < scan.size(); ++i) {
             if (scan[i].second != PayloadFor(scan[i].first)) {
               errors.fetch_add(1);
@@ -357,7 +358,7 @@ TEST(ConcurrentStressTest, SharedZipfChaosKeepsIndexCoherent) {
 
   EXPECT_EQ(errors.load(), 0);
   std::vector<std::pair<int64_t, int64_t>> all;
-  index.RangeScan(std::numeric_limits<int64_t>::min(), kKeySpace + 1, &all);
+  test_util::ScanAll(index, &all);
   EXPECT_EQ(index.size(), all.size());
   for (size_t i = 1; i < all.size(); ++i) {
     EXPECT_LT(all[i - 1].first, all[i].first);

@@ -87,14 +87,12 @@ TEST_F(ObsIntegrationTest, MixedWorkloadLightsAtLeastTwelveMetrics) {
 
   // Every public op at least once; enough inserts to trip shard splits.
   int64_t v = 0;
-  std::vector<std::pair<int64_t, int64_t>> scan_buf;
   for (int64_t i = 0; i < 4000; ++i) {
     ASSERT_TRUE(index.Insert(kPreload * 2 + 1 + i, i));
     if (i % 8 == 0) index.Get((i % kPreload) * 2, &v);
     if (i % 64 == 0) {
       index.Contains(i * 2);
       index.Update((i % kPreload) * 2, -i);
-      index.RangeScan(i, 32, &scan_buf);
       index.Scan(i, i + 512, [](const int64_t&, const int64_t&) {});
       index.Aggregate(i, i + 512);
     }

@@ -182,13 +182,13 @@ TEST_F(ObsTest, SnapshotJsonContainsAllSections) {
   reg.GetHistogram("test.json_hist")->Record(1000);
   OpContext ctx;
   ctx.descent_retries = 1;
-  reg.slow_ops().Push(OpType::kRangeScan, kShardAll, 5555, ctx);
+  reg.slow_ops().Push(OpType::kScan, kShardAll, 5555, ctx);
   const std::string json = reg.SnapshotJson();
   EXPECT_NE(json.find("\"test.json_counter\": 12"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_gauge\": -4"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_hist\": {\"count\": 1"),
             std::string::npos);
-  EXPECT_NE(json.find("\"op\": \"range_scan\""), std::string::npos);
+  EXPECT_NE(json.find("\"op\": \"scan\""), std::string::npos);
   EXPECT_NE(json.find("\"shard\": \"all\""), std::string::npos);
   EXPECT_NE(json.find("\"duration_ns\": 5555"), std::string::npos);
 }

@@ -1,11 +1,12 @@
 // Tests for the scan/aggregate engine: the masked SIMD kernels in
 // src/util/simd_scan.h (naive-reference oracle plus direct scalar-vs-AVX2
 // byte-identity checks), the epoch-guarded ConcurrentAlex::Scan/Aggregate
-// walks against a shadow std::map, the cross-shard parallel
-// ShardedAlex::Scan/Aggregate (ordered streaming + partial merges) under
-// forced topology churn, and a TSan-targeted torture test that scans
-// continuously while writers split leaves and shards
-// (ContinuousScansDuringTopologyChurn).
+// walks against a shadow std::map (including the early-stop contract of a
+// bool visitor), the cross-shard ShardedAlex::Scan/Aggregate (ordered
+// shard-by-shard streaming across resident and cold shards + parallel
+// aggregate partial merges) under forced topology churn, and a
+// TSan-targeted torture test that scans continuously while writers split
+// leaves and shards (ContinuousScansDuringTopologyChurn).
 //
 // Determinism contract under test: every kernel result must be
 // byte-identical across the scalar and AVX2 paths, so the whole suite is
@@ -15,15 +16,18 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/concurrent_alex.h"
 #include "shard/sharded_alex.h"
+#include "tier/segment.h"
 #include "util/bitmap.h"
 #include "util/random.h"
 #include "util/simd_scan.h"
@@ -250,6 +254,31 @@ using core::AggSpec;
 using core::Config;
 using core::NodeLayout;
 
+/// Scans [lo, hi] with a visitor that returns false on its k-th call
+/// (k >= 1) and checks the early-stop contract against `expect`, the
+/// oracle's records in the range: the visitor is never called again after
+/// it returned false, it saw exactly the first min(k, |expect|) records,
+/// and Scan returns that count — the stopping record included.
+template <typename Index>
+void CheckEarlyStop(const Index& index, int64_t lo, int64_t hi,
+                    const std::vector<std::pair<int64_t, int64_t>>& expect,
+                    size_t k) {
+  std::vector<std::pair<int64_t, int64_t>> got;
+  bool called_after_stop = false;
+  const size_t visited =
+      index.Scan(lo, hi, [&](const int64_t& key, const int64_t& payload) {
+        if (got.size() >= k) called_after_stop = true;
+        got.emplace_back(key, payload);
+        return got.size() < k;
+      });
+  const size_t want = std::min(k, expect.size());
+  ASSERT_FALSE(called_after_stop) << "k=" << k;
+  ASSERT_EQ(visited, want) << "k=" << k;
+  const std::vector<std::pair<int64_t, int64_t>> prefix(
+      expect.begin(), expect.begin() + want);
+  ASSERT_EQ(got, prefix) << "k=" << k;
+}
+
 template <typename Index>
 void CheckAgainstOracle(const Index& index,
                         const std::map<int64_t, int64_t>& oracle, int64_t lo,
@@ -287,6 +316,12 @@ void CheckAgainstOracle(const Index& index,
       lo, hi, [&](const int64_t& k, const int64_t& p) { got.emplace_back(k, p); });
   ASSERT_EQ(visited, expect.size()) << "[" << lo << ", " << hi << "]";
   ASSERT_EQ(got, expect) << "[" << lo << ", " << hi << "]";
+
+  // A bool visitor stopping on the first, a middle and the last record
+  // of the range.
+  for (const size_t k : {size_t{1}, expect.size() / 2 + 1, expect.size()}) {
+    if (k > 0) CheckEarlyStop(index, lo, hi, expect, k);
+  }
 
   // Aggregate, key field (default spec).
   const auto keys_agg = index.Aggregate(lo, hi);
@@ -420,7 +455,38 @@ TEST(ConcurrentScanAggregateTest, DoubleKeysAggregateExactly) {
   EXPECT_EQ(agg.keys.sum, 29950.0);
 }
 
-// ---- ShardedAlex Scan/Aggregate: ordered parallel streaming ----
+TEST(ConcurrentScanAggregateTest, EarlyStopAtEveryPositionAcrossLeaves) {
+  // Small leaves, so a few thousand keys span many of them; stopping at
+  // every position covers the first record, records in the middle of a
+  // leaf, and the last key of every leaf (where the walk would otherwise
+  // unlatch and follow the sibling link).
+  Config config;
+  config.max_data_node_keys = 64;
+  core::ConcurrentAlex<int64_t, int64_t> index(config);
+  std::vector<int64_t> keys, payloads;
+  for (int64_t i = 0; i < 3000; ++i) {
+    keys.push_back(i * 5);
+    payloads.push_back(-i);
+  }
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  ASSERT_GE(index.CollectStructure().leaf_count, 4u);
+  std::vector<std::pair<int64_t, int64_t>> expect;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    expect.emplace_back(keys[i], payloads[i]);
+  }
+  const int64_t lo = std::numeric_limits<int64_t>::lowest();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  for (size_t k = 1; k <= expect.size() + 1; ++k) {
+    CheckEarlyStop(index, lo, hi, expect, k);
+  }
+  // A bounded range stopping on its last record never reads past it.
+  const std::vector<std::pair<int64_t, int64_t>> mid(expect.begin() + 100,
+                                                     expect.begin() + 400);
+  CheckEarlyStop(index, mid.front().first, mid.back().first, mid,
+                 mid.size());
+}
+
+// ---- ShardedAlex Scan/Aggregate: ordered streaming ----
 
 using Sharded = shard::ShardedAlex<int64_t, int64_t>;
 
@@ -462,7 +528,7 @@ void RunShardedOracle(size_t scan_threads) {
     CheckAgainstOracle(index, oracle, lo, hi);
   }
   // Full range crosses every shard; ordering across shard boundaries is
-  // the k-way-merge contract under test.
+  // the shard-by-shard concatenation contract under test.
   CheckAgainstOracle(index, oracle, std::numeric_limits<int64_t>::min(),
                      std::numeric_limits<int64_t>::max());
 }
@@ -499,6 +565,82 @@ TEST(ShardedScanAggregateTest, ParallelAndSequentialAgreeExactly) {
   EXPECT_EQ(agg_a.keys.sum, agg_b.keys.sum);
   EXPECT_EQ(agg_a.keys.min, agg_b.keys.min);
   EXPECT_EQ(agg_a.keys.max, agg_b.keys.max);
+}
+
+TEST(ShardedScanAggregateTest, EarlyStopAcrossShardAndTierBoundaries) {
+  // Four shards over keys 4i; shards 1 and 3 are demoted, so the key
+  // order crosses resident -> cold -> resident -> cold. Cold shard 1 then
+  // gets an overlay that updates and erases segment keys and adds keys
+  // past its segment's last key (an overlay-only tail before the next
+  // shard's first key); the last shard gets a tail past all data.
+  const std::string prefix =
+      std::string(::testing::TempDir()) + "/scan_early_stop";
+  shard::ShardedOptions options;
+  options.num_shards = 4;
+  options.tier_prefix = prefix;
+  options.min_rebalance_keys = 1u << 30;  // keep shard indices stable
+  const auto remove_segments = [&] {
+    for (uint64_t id = 1; id <= 8; ++id) {
+      std::remove(tier::SegmentPath(prefix, id).c_str());
+    }
+  };
+  remove_segments();
+  std::map<int64_t, int64_t> oracle;
+  {
+    Sharded index(options);
+    std::vector<int64_t> keys, payloads;
+    for (int64_t i = 0; i < 2000; ++i) {
+      keys.push_back(i * 4);
+      payloads.push_back(i);
+      oracle[i * 4] = i;
+    }
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    ASSERT_EQ(index.DemoteShard(1), core::SnapshotStatus::kOk);
+    ASSERT_EQ(index.DemoteShard(3), core::SnapshotStatus::kOk);
+    ASSERT_TRUE(index.IsShardCold(1));
+    ASSERT_TRUE(index.IsShardCold(3));
+    const std::vector<int64_t> bounds = index.ShardBoundaries();
+    ASSERT_EQ(bounds.size(), 3u);
+    ASSERT_EQ(bounds[1] % 4, 0);  // shard 2 starts on a loaded key
+    // Overlay-only tail of shard 1: three keys between its segment's last
+    // key (bounds[1] - 4) and shard 2's first key (bounds[1]).
+    const int64_t tail_lo = bounds[1] - 3;
+    for (int64_t key = tail_lo; key < bounds[1]; ++key) {
+      ASSERT_EQ(index.ShardOf(key), 1u);
+      ASSERT_TRUE(index.Insert(key, -key));
+      oracle[key] = -key;
+    }
+    // Overlay entries shadowing segment keys: an update and an erase.
+    ASSERT_TRUE(index.Update(bounds[0] + 8, 77));
+    oracle[bounds[0] + 8] = 77;
+    ASSERT_TRUE(index.Erase(bounds[0] + 12));
+    oracle.erase(bounds[0] + 12);
+    // Tail of the last (cold) shard, past every bulk-loaded key.
+    for (int64_t key = 8000; key < 8004; ++key) {
+      ASSERT_TRUE(index.Insert(key, key));
+      oracle[key] = key;
+    }
+    ASSERT_TRUE(index.IsShardCold(1));
+    ASSERT_TRUE(index.CheckInvariants());
+
+    const std::vector<std::pair<int64_t, int64_t>> expect(oracle.begin(),
+                                                          oracle.end());
+    const int64_t lo = std::numeric_limits<int64_t>::lowest();
+    const int64_t hi = std::numeric_limits<int64_t>::max();
+    // Every stop position: the last key of each shard (a shard boundary,
+    // including resident -> cold and cold -> resident), the first key of
+    // the next shard, and each key of both overlay-only tails.
+    for (size_t k = 1; k <= expect.size() + 1; ++k) {
+      CheckEarlyStop(index, lo, hi, expect, k);
+    }
+    // Stop exactly on the last overlay-only key of cold shard 1: shard 2
+    // must never be entered.
+    const std::vector<std::pair<int64_t, int64_t>> from_tail(
+        oracle.find(tail_lo), oracle.end());
+    CheckEarlyStop(index, tail_lo, hi, from_tail, 3);
+    CheckEarlyStop(index, tail_lo, hi, from_tail, 2);
+  }
+  remove_segments();
 }
 
 // ---- Torture: continuous scans during leaf splits and topology txns ----

@@ -19,6 +19,7 @@
 #include "core/serialization.h"
 #include "shard/router.h"
 #include "util/random.h"
+#include "scan_test_util.h"
 
 namespace alex::shard {
 namespace {
@@ -214,7 +215,7 @@ TEST(ShardedAlexTest, CrossShardScanSpansAtLeastThreeShards) {
   const int64_t start = 101;  // absent key: scan begins at lower bound
   const size_t want = 7000;
   std::vector<std::pair<int64_t, int64_t>> got;
-  ASSERT_EQ(index.RangeScan(start, want, &got), want);
+  ASSERT_EQ(test_util::ScanFirst(index, start, want, &got), want);
   ASSERT_EQ(index.ShardOf(got.front().first), 0u);
   ASSERT_GE(index.ShardOf(got.back().first), 3u);
   // Results are exactly the sorted keys >= start.
@@ -238,7 +239,7 @@ TEST(ShardedAlexTest, ScanAcrossOneBoundaryIsSeamless) {
   ASSERT_FALSE(bounds.empty());
   for (const int64_t b : bounds) {
     std::vector<std::pair<int64_t, int64_t>> got;
-    ASSERT_EQ(index.RangeScan(b - 5, 10, &got), 10u);
+    ASSERT_EQ(test_util::ScanFirst(index, b - 5, 10, &got), 10u);
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].first, b - 5 + static_cast<int64_t>(i));
     }
@@ -251,10 +252,10 @@ TEST(ShardedAlexTest, ScanPastTheEndReturnsWhatExists) {
   for (int64_t i = 0; i < 1000; ++i) keys[i] = payloads[i] = i;
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   std::vector<std::pair<int64_t, int64_t>> got;
-  EXPECT_EQ(index.RangeScan(990, 100, &got), 10u);
+  EXPECT_EQ(test_util::ScanFirst(index, 990, 100, &got), 10u);
   EXPECT_EQ(got.front().first, 990);
   EXPECT_EQ(got.back().first, 999);
-  EXPECT_EQ(index.RangeScan(5000, 10, &got), 0u);
+  EXPECT_EQ(test_util::ScanFirst(index, 5000, 10, &got), 0u);
 }
 
 // ---- Rebalance ----
@@ -334,7 +335,7 @@ TEST(ShardedAlexTest, RebalanceUnderConcurrentReaders) {
           read_failures.fetch_add(1, std::memory_order_relaxed);
         }
         if ((rng.NextUint64(16)) == 0) {
-          index.RangeScan(key, 64, &scan);
+          test_util::ScanFirst(index, key, 64, &scan);
           for (size_t i = 1; i < scan.size(); ++i) {
             if (!(scan[i - 1].first < scan[i].first)) {
               read_failures.fetch_add(1, std::memory_order_relaxed);
@@ -464,7 +465,7 @@ TEST(ShardedAlexTest, MergeUnderConcurrentReaders) {
           read_failures.fetch_add(1, std::memory_order_relaxed);
         }
         if (rng.NextUint64(16) == 0) {
-          index.RangeScan(key, 64, &scan);
+          test_util::ScanFirst(index, key, 64, &scan);
           for (size_t i = 1; i < scan.size(); ++i) {
             if (!(scan[i - 1].first < scan[i].first)) {
               read_failures.fetch_add(1, std::memory_order_relaxed);
@@ -522,8 +523,7 @@ TEST(ShardedAlexTest, ExplicitRebalanceEvensBoundariesInPlace) {
   for (size_t i = 1; i < bounds.size(); ++i) {
     ASSERT_LT(bounds[i - 1], bounds[i]);
   }
-  index.RangeScan(std::numeric_limits<int64_t>::lowest(),
-                  std::numeric_limits<size_t>::max(), &scan);
+  test_util::ScanAll(index, &scan);
   size_t at = 0;
   for (size_t s = 0; s < 4; ++s) {
     size_t count = 0;
@@ -567,10 +567,8 @@ TEST(ShardedAlexTest, SaveLoadRoundTripAcrossShardCounts) {
   EXPECT_EQ(loaded.size(), index.size());
   EXPECT_EQ(loaded.ShardBoundaries(), index.ShardBoundaries());
   std::vector<std::pair<int64_t, int64_t>> a, b;
-  index.RangeScan(std::numeric_limits<int64_t>::lowest(), index.size(),
-                  &a);
-  loaded.RangeScan(std::numeric_limits<int64_t>::lowest(), loaded.size(),
-                   &b);
+  test_util::ScanAll(index, &a);
+  test_util::ScanAll(loaded, &b);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(loaded.CheckInvariants());
 

@@ -27,6 +27,7 @@
 #include "tier/segment.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
+#include "scan_test_util.h"
 
 namespace alex::shard {
 namespace {
@@ -149,12 +150,12 @@ void ExpectMatchesOracle(const Sharded& index,
     ++i;
   }
 
-  // RangeScan with a bounded result count, resuming mid-keyspace.
+  // A scan stopped after a bounded result count, resuming mid-keyspace.
   if (!oracle.empty()) {
     const int64_t mid = std::next(oracle.begin(), oracle.size() / 2)->first;
     std::vector<std::pair<int64_t, int64_t>> ranged;
     const size_t want = std::min<size_t>(100, oracle.size());
-    index.RangeScan(mid, want, &ranged);
+    test_util::ScanFirst(index, mid, want, &ranged);
     ASSERT_EQ(ranged.size(),
               std::min<size_t>(want, std::distance(oracle.find(mid),
                                                    oracle.end())));

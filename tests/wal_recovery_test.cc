@@ -17,6 +17,7 @@
 
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
+#include "scan_test_util.h"
 
 namespace alex::shard {
 namespace {
@@ -187,10 +188,8 @@ TEST(WalRecoveryTest, ReplayIsIdempotentAcrossRepeatedLoads) {
   EXPECT_EQ(first.size(), second.size());
   EXPECT_EQ(first.size(), static_cast<size_t>(kN - 1));
   std::vector<std::pair<int64_t, int64_t>> a, b;
-  first.RangeScan(std::numeric_limits<int64_t>::lowest(), first.size(),
-                  &a);
-  second.RangeScan(std::numeric_limits<int64_t>::lowest(), second.size(),
-                   &b);
+  test_util::ScanAll(first, &a);
+  test_util::ScanAll(second, &b);
   EXPECT_EQ(a, b);
   int64_t v = 0;
   ASSERT_TRUE(second.Get(10, &v));
