@@ -16,7 +16,7 @@
 //
 // Usage: wal_throughput [--quick] [--threads N] [--csv PATH] [--json PATH]
 //   --threads caps the sweep's highest writer count (default 8).
-// Log/snapshot files go to $TMPDIR (or /tmp) and are removed afterwards.
+// Log and checkpoint files go to $TMPDIR (or /tmp) and are removed afterwards.
 #include <atomic>
 #include <cinttypes>
 #include <cstdint>
@@ -45,16 +45,16 @@ std::string TempPrefix() {
   return std::string(tmp != nullptr ? tmp : "/tmp") + "/wal_throughput";
 }
 
+/// Removes every file of `prefix` (manifest, segments, WAL segments).
 void Cleanup(const std::string& prefix) {
-  std::remove(Index::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 4; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Index::ShardPath(prefix, gen, i).c_str());
+  std::string dir, base;
+  alex::wal::SplitPrefixPath(prefix, &dir, &base);
+  std::vector<std::string> names;
+  if (!alex::wal::ListDirectory(dir, &names)) return;
+  for (const std::string& name : names) {
+    if (name.rfind(base + ".", 0) == 0) {
+      std::remove((dir + "/" + name).c_str());
     }
-  }
-  for (const alex::wal::WalSegmentFile& f :
-       alex::wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
   }
 }
 

@@ -75,37 +75,44 @@
 //     Same stoppable visitor and read-committed contract as
 //     ConcurrentAlex::Scan.
 //
-//   Durability.   SaveTo quiesces writers (all gates, in shard order),
-//     writes one serialization.h snapshot per shard plus a checksummed
-//     manifest (manifest.h v3) holding the boundaries, router model,
-//     per-shard key counts and wal lineage anchors. LoadFrom rebuilds
-//     the whole table off to the side and publishes it only when every
-//     shard file validated, mapping each failure to a distinct
-//     core::SnapshotStatus. Recovery with a manifest is
-//     *boundary-preserving* and shard-parallel: the manifest's boundary
-//     array is the recovered topology, and each shard replays its own
-//     snapshot + log-tail lineage independently on a small thread pool
-//     (a merge child's records are range-filtered back to the shards
-//     they came from) instead of funneling everything through one
-//     merged map and a router refit.
+//   Durability.   SaveTo quiesces writers (all gates, in shard order)
+//     and writes every non-empty shard as one segment (tier/segment.h,
+//     the repo's only sorted-run format) plus a checksummed manifest
+//     (manifest.h v5) holding the boundaries, router model, per-shard key
+//     counts, tier tags and wal lineage anchors; a cold shard whose
+//     segment is already durable at the prefix is referenced as-is. A
+//     shard with zero keys has no file. LoadFrom opens and audits every
+//     manifest segment the same way, builds the whole table off to the
+//     side, and publishes it only when every file validated, mapping
+//     each failure to a distinct core::SnapshotStatus. Recovery with a
+//     manifest is *boundary-preserving* and shard-parallel: the
+//     manifest's boundary array is the recovered topology, and each shard
+//     is rebuilt independently on a small thread pool as its segment plus
+//     a delta overlay replayed from its log tail (a merge child's records
+//     are range-filtered back to the shards they came from); a shard
+//     tagged resident is then drained into a ConcurrentAlex, exactly like
+//     a promotion.
 //
 //   Write-ahead logging.   EnableWal attaches one src/wal/ log per shard
 //     and anchors it with a checkpoint. From then on every write is
 //     log-before-apply under the same shared gate that already covers the
 //     apply, so a checkpoint's exclusive gates see log and index in
 //     lockstep. SaveTo doubles as the checkpoint: it records each log's
-//     LSN in the manifest, rotates the segments, and deletes everything
-//     the snapshot made redundant. LoadFrom doubles as recovery: snapshot
-//     first, then the per-shard log tails replayed in wal-id order
-//     (parent-before-child across shard splits — wal/wal_format.h), with
-//     a torn final record truncated and every other corruption surfaced
-//     as a distinct wal::WalStatus in the RecoveryReport. A shard split
-//     seals the victim's log at the publish LSN (under the same
-//     exclusive gate that drained its writers) and opens fresh segments
-//     for the replacements. Recovery linearizes concurrent same-key
-//     writes in log order, which for operations that overlapped in real
-//     time may differ from apply order — either is a valid linearization
-//     of the acknowledged history.
+//     LSN in the manifest, rotates the logs, and deletes every log segment
+//     and sorted-run segment the checkpoint made redundant.
+//     LoadFrom doubles as recovery: each shard's log tail (records past
+//     its checkpoint LSN) is replayed in wal-id order (parent-before-child
+//     across shard splits — wal/wal_format.h) onto its segment, through
+//     the same overlay semantics a cold shard's writes use; with no log
+//     tail the same path runs with zero records. A torn final record is
+//     truncated and every other corruption surfaced as a distinct
+//     wal::WalStatus in the RecoveryReport. A shard split seals the
+//     victim's log at the publish LSN (under the same exclusive gate that
+//     drained its writers) and opens fresh segments for the replacements.
+//     Recovery linearizes concurrent same-key writes in log order, which
+//     for operations that overlapped in real time may differ from apply
+//     order — either is a valid linearization of the acknowledged
+//     history.
 //
 // Lock order: rebalance_mutex_ → write_gate(s) in ascending shard order.
 // Point writes take exactly one gate shared and no mutex; reads take
@@ -113,6 +120,8 @@
 // reclamation domain (the guard ConcurrentAlex pins internally is a
 // reentrant no-op on ours).
 #pragma once
+
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
@@ -244,7 +253,7 @@ class ShardedAlex {
   /// load; in-flight writers are drained shard by shard. While the WAL is
   /// enabled the load seals the old shards' logs, opens fresh ones, and
   /// re-checkpoints automatically (the bulk-loaded contents exist in no
-  /// log, so only a snapshot can anchor them); a checkpoint failure
+  /// log, so only a checkpoint can anchor them); a checkpoint failure
   /// disables logging — nothing could truthfully be called durable
   /// without the anchor — and records kCheckpointFailed in
   /// last_wal_error().
@@ -294,7 +303,7 @@ class ShardedAlex {
                    shards);
     if (wal_enabled_ &&
         SaveToLocked(wal_prefix_) != core::SnapshotStatus::kOk) {
-      // The bulk-loaded baseline now exists in no snapshot and no log;
+      // The bulk-loaded baseline now exists in no checkpoint and no log;
       // continuing to log would let a recovery silently roll the index
       // back to the pre-load state while claiming the post-load writes
       // were durable. Fail closed: stop logging and surface the error.
@@ -757,7 +766,7 @@ class ShardedAlex {
   /// segment (dropping overwritten and erased keys), emptying the
   /// overlay. A clean overlay is a no-op. A shard whose live count
   /// dropped to zero is promoted to an empty resident shard instead
-  /// (segments cannot be empty).
+  /// (a zero-key shard has no segment).
   core::SnapshotStatus CompactShard(size_t idx) {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
     return CompactShardLocked(idx);
@@ -983,53 +992,46 @@ class ShardedAlex {
 
   // ---- Durability ----
 
-  /// Path of the manifest / per-shard snapshot files for `prefix`. Shard
-  /// files are stamped with the manifest's generation so a save never
-  /// touches the files the committed manifest references.
+  /// Path of the manifest for `prefix`; segments sit beside it
+  /// (tier::SegmentPath).
   static std::string ManifestPath(const std::string& prefix) {
     return prefix + ".manifest";
   }
-  static std::string ShardPath(const std::string& prefix,
-                               uint64_t generation, size_t shard) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ".g%llu.shard-%04zu",
-                  static_cast<unsigned long long>(generation), shard);
-    return prefix + buf;
-  }
 
-  /// Writes one snapshot file per shard plus the manifest. Quiesces
+  /// Writes one segment per non-empty shard plus the manifest. Quiesces
   /// writers for the duration (all gates, ascending shard order), so the
-  /// snapshot is a fully consistent point-in-time image; readers are
+  /// checkpoint is a fully consistent point-in-time image; readers are
   /// never blocked. The save is all-or-nothing with respect to a
-  /// previous snapshot at the same prefix: shard files are written under
-  /// a fresh generation stamp, the manifest is committed with an atomic
-  /// rename, and only then is the previous generation's data removed —
-  /// a failure at any step leaves the old snapshot loadable.
+  /// previous checkpoint at the same prefix: segments are written under
+  /// fresh ids, the manifest is committed with an atomic rename, and only
+  /// then are the segments it no longer references removed — a failure
+  /// at any step leaves the old checkpoint loadable.
   ///
   /// With the WAL enabled (and `prefix` equal to the WAL prefix) this is
   /// the *checkpoint*: the manifest records each shard log's LSN, the
-  /// logs rotate onto fresh segments, and every segment the snapshot
-  /// made redundant is deleted. Saving to a different prefix is a plain
-  /// export and leaves the logs alone.
+  /// logs rotate onto fresh segments, and every log segment the
+  /// checkpoint made redundant is deleted. Saving to a different prefix
+  /// is a plain export and leaves the logs alone.
   core::SnapshotStatus SaveTo(const std::string& prefix) const {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
     return SaveToLocked(prefix);
   }
 
   /// Replaces the contents from a SaveTo image — and, when WAL segments
-  /// exist at the prefix, *recovers*: the snapshot is loaded first, then
-  /// each log's tail (records past its checkpoint LSN) is replayed in
+  /// exist at the prefix, *recovers*: each shard's segment is loaded with
+  /// its log's tail (records past its checkpoint LSN) replayed on top, in
   /// wal-id order. The replacement table is built entirely off to the
-  /// side and published only when the manifest, every shard file, and
-  /// every log segment validated; on any non-kOk status the live index
-  /// is untouched. A shard file the manifest references but the
-  /// filesystem lacks yields kMissingShard; a shard file whose key count
-  /// disagrees with the manifest, or whose keys fall outside the shard's
-  /// boundary range (a swapped or foreign file), yields
-  /// kManifestMismatch; an unreplayable log yields kWalReplayFailed with
-  /// the distinct wal::WalStatus (and, on success, replay counts) in
-  /// `*report`. A torn final record is tolerated: replay truncates it
-  /// away and loses at most that one unacknowledged write.
+  /// side and published only when the manifest, every segment, and every
+  /// log segment validated; on any non-kOk status the live index is
+  /// untouched. A segment the manifest references but the filesystem
+  /// lacks yields kMissingShard; a corrupt one kSegmentCorrupt (or
+  /// kUnsortedKeys); one whose key count disagrees with the manifest, or
+  /// whose keys fall outside the shard's boundary range (a swapped or
+  /// foreign file), yields kManifestMismatch; an unreplayable log yields
+  /// kWalReplayFailed with the distinct wal::WalStatus (and, on success,
+  /// replay counts) in `*report`. A torn final record is tolerated:
+  /// replay truncates it away and loses at most that one unacknowledged
+  /// write.
   ///
   /// Recovery does not resume logging: call EnableWal afterwards, whose
   /// anchor checkpoint also retires the replayed segments.
@@ -1055,7 +1057,7 @@ class ShardedAlex {
     ShardManifest<K> manifest;
     bool have_manifest = false;
     {
-      // Distinguish "no snapshot was ever committed" (recovery can still
+      // Distinguish "no checkpoint was ever committed" (recovery can still
       // proceed from the logs alone) from an unreadable/corrupt one.
       std::FILE* probe = std::fopen(ManifestPath(prefix).c_str(), "rb");
       if (probe != nullptr) {
@@ -1066,125 +1068,32 @@ class ShardedAlex {
         have_manifest = true;
       }
     }
-    const std::vector<wal::WalSegmentFile> segments =
-        wal::ListWalSegments(prefix);
-    if (!have_manifest && segments.empty()) {
+    if (!have_manifest && wal::ListWalSegments(prefix).empty()) {
       return core::SnapshotStatus::kIoError;  // nothing at this prefix
     }
 
-    // Load and validate every snapshot shard file; cold shards have a
-    // segment file instead, opened (mmap) and fully verified here.
-    std::vector<std::vector<K>> shard_keys(manifest.num_shards());
-    std::vector<std::vector<P>> shard_payloads(manifest.num_shards());
-    std::vector<std::shared_ptr<tier::ColdSegment<K, P>>> cold_segments(
-        manifest.num_shards());
-    for (size_t i = 0; i < manifest.num_shards(); ++i) {
-      if (manifest.IsCold(i)) {
-        const std::string seg_path =
-            tier::SegmentPath(prefix, manifest.segment_ids[i]);
-        auto segment = std::make_shared<tier::ColdSegment<K, P>>();
-        const core::SnapshotStatus status =
-            segment->Open(seg_path, manifest.segment_ids[i]);
-        if (status == core::SnapshotStatus::kIoError) {
-          std::FILE* probe = std::fopen(seg_path.c_str(), "rb");
-          if (probe != nullptr) {
-            std::fclose(probe);
-            return core::SnapshotStatus::kIoError;
-          }
-          return errno == ENOENT ? core::SnapshotStatus::kMissingShard
-                                 : core::SnapshotStatus::kIoError;
-        }
-        if (status != core::SnapshotStatus::kOk) return status;
-        // Open validates structure + metadata checksums; recovery also
-        // pays one full data pass so a flipped block byte surfaces now,
-        // not on some future read.
-        if (segment->VerifyAllBlocks() != core::SnapshotStatus::kOk) {
-          return core::SnapshotStatus::kSegmentCorrupt;
-        }
-        if (segment->num_keys() != manifest.shard_keys[i]) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        if (i > 0 && segment->min_key() < manifest.boundaries[i - 1]) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        if (i + 1 < manifest.num_shards() &&
-            !(segment->max_key() < manifest.boundaries[i])) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        cold_segments[i] = std::move(segment);
-        continue;
-      }
-      std::vector<K>& keys = shard_keys[i];
-      std::vector<P>& payloads = shard_payloads[i];
-      const std::string shard_path =
-          ShardPath(prefix, manifest.generation, i);
-      core::SnapshotStatus status =
-          core::ReadSnapshotFile<K, P>(shard_path, &keys, &payloads);
-      if (status == core::SnapshotStatus::kIoError) {
-        // Only a file that is actually gone is "missing"; a file that
-        // exists but cannot be opened or read (permissions, disk) stays
-        // kIoError — keep the statuses honest.
-        std::FILE* probe = std::fopen(shard_path.c_str(), "rb");
-        if (probe != nullptr) {
-          std::fclose(probe);
-          return core::SnapshotStatus::kIoError;
-        }
-        return errno == ENOENT ? core::SnapshotStatus::kMissingShard
-                               : core::SnapshotStatus::kIoError;
-      }
+    // Open and audit every manifest shard's segment, in parallel; the
+    // first failure in shard order is the one reported.
+    const size_t n = manifest.num_shards();
+    std::vector<std::shared_ptr<tier::ColdSegment<K, P>>> shard_segments(n);
+    std::vector<core::SnapshotStatus> opened(n, core::SnapshotStatus::kOk);
+    ParallelOverShards(n, [&](size_t i) {
+      opened[i] = OpenManifestSegment(prefix, manifest, i, &shard_segments[i]);
+    });
+    for (const core::SnapshotStatus status : opened) {
       if (status != core::SnapshotStatus::kOk) return status;
-      if (keys.size() != manifest.shard_keys[i]) {
-        return core::SnapshotStatus::kManifestMismatch;
-      }
-      // Snapshots are sorted, so first/last bound the whole file: every
-      // key must lie inside [boundaries[i-1], boundaries[i]). Catches
-      // shard files that were swapped or replaced on disk even when the
-      // key counts happen to agree.
-      if (!keys.empty()) {
-        if (i > 0 && keys.front() < manifest.boundaries[i - 1]) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-        if (i + 1 < manifest.num_shards() &&
-            !(keys.back() < manifest.boundaries[i])) {
-          return core::SnapshotStatus::kManifestMismatch;
-        }
-      }
     }
 
     std::unique_ptr<Table> next;
-    uint64_t floor_wal_id = manifest.next_wal_id;
-    [[maybe_unused]] uint64_t journal_replayed = 0;  // kRecovery event
-    if (segments.empty()) {
-      // Pure snapshot load: rebuild the saved table exactly (same
-      // shards, boundaries, and router model).
-      next = std::make_unique<Table>();
-      next->router = ShardRouter<K>(manifest.boundaries,
-                                    manifest.router_model);
-      next->shards.reserve(manifest.num_shards());
-      for (size_t i = 0; i < manifest.num_shards(); ++i) {
-        auto shard =
-            std::make_shared<Shard>(options_.shard_config, &epoch_);
-        if (manifest.IsCold(i)) {
-          shard->cold_live.store(cold_segments[i]->num_keys(),
-                                 std::memory_order_relaxed);
-          shard->segment = std::move(cold_segments[i]);
-        } else {
-          shard->index.BulkLoad(shard_keys[i].data(),
-                                shard_payloads[i].data(),
-                                shard_keys[i].size());
-        }
-        next->shards.push_back(std::move(shard));
-      }
-    } else if (!have_manifest) {
+    wal::RecoveryReport local_report;
+    wal::RecoveryReport* rep = report != nullptr ? report : &local_report;
+    if (!have_manifest) {
       // Logs-alone recovery: no checkpoint ever committed, so there is
       // no topology to preserve — merge everything into one logical map
       // and partition fresh. Ascending wal-id order is parent-before-
       // child across topology changes, the only cross-log ordering
       // replay needs.
       std::map<K, P> state;
-      wal::RecoveryReport local_report;
-      wal::RecoveryReport* rep =
-          report != nullptr ? report : &local_report;
       // Never physically truncate while the segments might belong to
       // this index's own live logs (their writers hold fd offsets past
       // the truncation point).
@@ -1195,8 +1104,6 @@ class ShardedAlex {
       if (wal_status != wal::WalStatus::kOk) {
         return core::SnapshotStatus::kWalReplayFailed;
       }
-      floor_wal_id = std::max(floor_wal_id, rep->max_wal_id + 1);
-      journal_replayed = rep->records_replayed;
 
       std::vector<K> keys;
       std::vector<P> payloads;
@@ -1224,17 +1131,15 @@ class ShardedAlex {
       }
     } else {
       // Boundary-preserving recovery: the manifest's boundary array IS
-      // the recovered topology, and each shard replays independently.
-      wal::RecoveryReport local_report;
-      wal::RecoveryReport* rep =
-          report != nullptr ? report : &local_report;
+      // the recovered topology, and each shard replays independently
+      // (with no WAL segments at the prefix, onto zero records).
       const core::SnapshotStatus status = RecoverBoundaryPreserving(
-          prefix, manifest, shard_keys, shard_payloads, &cold_segments,
-          was_logging, rep, &next);
+          prefix, manifest, &shard_segments, was_logging, rep, &next);
       if (status != core::SnapshotStatus::kOk) return status;
-      floor_wal_id = std::max(floor_wal_id, rep->max_wal_id + 1);
-      journal_replayed = rep->records_replayed;
     }
+    const uint64_t floor_wal_id =
+        std::max(manifest.next_wal_id, rep->max_wal_id + 1);
+    [[maybe_unused]] const uint64_t journal_replayed = rep->records_replayed;
 
     if (have_manifest) {
       topology_epoch_.store(manifest.topology_epoch,
@@ -1292,7 +1197,7 @@ class ShardedAlex {
 
   /// Starts logging every write to per-shard logs at `prefix` and
   /// anchors them with an initial checkpoint (so recovery always has a
-  /// snapshot to replay onto). Typical lifecycles:
+  /// checkpoint to replay onto). Typical lifecycles:
   ///
   ///   fresh:    ShardedAlex idx; idx.BulkLoad(...); idx.EnableWal(p);
   ///   restart:  ShardedAlex idx; idx.LoadFrom(p);   idx.EnableWal(p);
@@ -1301,7 +1206,7 @@ class ShardedAlex {
   /// incarnation left at the prefix, so enable-after-recover retires the
   /// very logs that were just replayed. Fails with kAlreadyEnabled when
   /// logging is already on, kIoError when a log file cannot be opened,
-  /// and kCheckpointFailed when the anchor snapshot cannot commit (in
+  /// and kCheckpointFailed when the anchor checkpoint cannot commit (in
   /// which case logging stays off and the index is unchanged).
   wal::WalStatus EnableWal(
       const std::string& prefix,
@@ -1572,6 +1477,28 @@ class ShardedAlex {
       // Overwrite-if-present of a segment-resident key: shadow it.
       delta.emplace(key, DeltaEntry{payload, false});
       return true;
+    }
+
+    /// Applies one replayed WAL record with ApplyWalRecord's semantics
+    /// (insert-if-absent, overwrite-if-present, erase) through the write
+    /// path of the shard's tier: the overlay of a cold shard, the tree of
+    /// a resident one. Recovery only; the caller owns the shard.
+    void Replay(const wal::WalRecord<K, P>& rec) {
+      switch (rec.type) {
+        case wal::WalRecordType::kInsert:
+          cold() ? TierInsert(rec.key, rec.payload)
+                 : index.Insert(rec.key, rec.payload);
+          break;
+        case wal::WalRecordType::kUpdate:
+          cold() ? TierUpdate(rec.key, rec.payload)
+                 : index.Update(rec.key, rec.payload);
+          break;
+        case wal::WalRecordType::kErase:
+          cold() ? TierErase(rec.key) : index.Erase(rec.key);
+          break;
+        default:
+          break;
+      }
     }
 
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
@@ -1855,22 +1782,72 @@ class ShardedAlex {
     util::ParallelFor(n, workers, std::forward<Fn>(fn));
   }
 
+  /// Opens and fully audits manifest shard `i`'s segment: structure and
+  /// metadata checksums (Open), every block's checksum and key order
+  /// (VerifyAllBlocks), then the key count and the boundary range — a
+  /// swapped or foreign file fails even when its count happens to agree.
+  /// A zero-key shard has no file and leaves `*out` null.
+  static core::SnapshotStatus OpenManifestSegment(
+      const std::string& prefix, const ShardManifest<K>& manifest, size_t i,
+      std::shared_ptr<tier::ColdSegment<K, P>>* out) {
+    if (manifest.shard_keys[i] == 0) return core::SnapshotStatus::kOk;
+    const std::string path =
+        tier::SegmentPath(prefix, manifest.segment_ids[i]);
+    auto segment = std::make_shared<tier::ColdSegment<K, P>>();
+    core::SnapshotStatus status =
+        segment->Open(path, manifest.segment_ids[i]);
+    if (status == core::SnapshotStatus::kIoError) {
+      // Only a file that is actually gone is "missing"; one that exists
+      // but cannot be opened or mapped stays kIoError.
+      struct ::stat st;
+      return ::stat(path.c_str(), &st) != 0 && errno == ENOENT
+                 ? core::SnapshotStatus::kMissingShard
+                 : core::SnapshotStatus::kIoError;
+    }
+    // Open leaves block data untouched; recovery pays one full data pass
+    // so a flipped block byte surfaces now, not on some future read.
+    if (status == core::SnapshotStatus::kOk) {
+      status = segment->VerifyAllBlocks();
+    }
+    if (status != core::SnapshotStatus::kOk) return status;
+    if (segment->num_keys() != manifest.shard_keys[i] ||
+        !KeyInShard(segment->min_key(), i, manifest.boundaries) ||
+        !KeyInShard(segment->max_key(), i, manifest.boundaries)) {
+      return core::SnapshotStatus::kManifestMismatch;
+    }
+    *out = std::move(segment);
+    return core::SnapshotStatus::kOk;
+  }
+
+  /// A resident shard holding `source`'s records: one sorted drain of the
+  /// segment + overlay merge into a bulk load. The core of a promotion,
+  /// and how recovery rebuilds a resident-tagged shard from its segment.
+  std::shared_ptr<Shard> MakeResident(const Shard* source) const {
+    std::vector<K> keys;
+    std::vector<P> payloads;
+    DrainShard(source, &keys, &payloads);
+    auto resident = std::make_shared<Shard>(options_.shard_config, &epoch_);
+    resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    return resident;
+  }
+
   /// Rebuilds the table with the manifest's exact boundary array and
-  /// router model, each shard recovered independently: its snapshot
-  /// contents plus every log lineage rooted at its checkpoint anchor,
-  /// replayed in ascending wal-id order. A topology child's records are
-  /// range-filtered back to the manifest shards its parents anchor (a
-  /// merge child spans several; each key's full history threads through
-  /// logs of ascending id, so the filtered per-shard order is the true
-  /// per-key order). Shards replay in parallel on a small thread pool —
-  /// recovery is shard-parallel by construction because no two shards
-  /// share mutable state. Fills one ShardReplayStats per shard in
-  /// `rep->shards`.
+  /// router model, each shard recovered independently and in one way:
+  /// its audited segment (`(*segments)[i]`, null for a zero-key shard)
+  /// plus every log lineage rooted at its checkpoint anchor, replayed in
+  /// ascending wal-id order through the shard's own write semantics — the
+  /// delta overlay over a segment, the tree of an empty shard. A shard
+  /// tagged resident is then drained into a ConcurrentAlex (MakeResident);
+  /// one tagged cold keeps its segment and overlay. A topology child's
+  /// records are range-filtered back to the manifest shards its parents
+  /// anchor (a merge child spans several; each key's full history threads
+  /// through logs of ascending id, so the filtered per-shard order is the
+  /// true per-key order). Shards replay in parallel on a small thread
+  /// pool — no two shards share mutable state. Fills one ShardReplayStats
+  /// per shard in `rep->shards`.
   core::SnapshotStatus RecoverBoundaryPreserving(
       const std::string& prefix, const ShardManifest<K>& manifest,
-      const std::vector<std::vector<K>>& shard_keys,
-      const std::vector<std::vector<P>>& shard_payloads,
-      std::vector<std::shared_ptr<tier::ColdSegment<K, P>>>* cold_segments,
+      std::vector<std::shared_ptr<tier::ColdSegment<K, P>>>* segments,
       bool was_logging, wal::RecoveryReport* rep,
       std::unique_ptr<Table>* out) {
     std::map<uint64_t, uint64_t> checkpoints;
@@ -1937,54 +1914,11 @@ class ShardedAlex {
       wal::ShardReplayStats& stats = (*rep).shards[i];
       stats.shard = i;
       stats.wal_id = manifest.wal_ids.size() > i ? manifest.wal_ids[i] : 0;
-      if (manifest.IsCold(i)) {
-        // A cold shard recovers as exactly the form it runs in: the
-        // verified segment plus a delta overlay rebuilt from the log
-        // tail (the records past its checkpoint LSN). TierInsert/
-        // TierErase/TierUpdate are ApplyWalRecord's semantics over the
-        // overlay, so the merged view equals the resident replay.
-        auto shard =
-            std::make_shared<Shard>(options_.shard_config, &epoch_);
-        shard->cold_live.store((*cold_segments)[i]->num_keys(),
+      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
+      if ((*segments)[i] != nullptr) {
+        shard->cold_live.store((*segments)[i]->num_keys(),
                                std::memory_order_relaxed);
-        shard->segment = std::move((*cold_segments)[i]);
-        for (size_t l = 0; l < lineages.size(); ++l) {
-          if (std::find(feeds[l].begin(), feeds[l].end(), i) ==
-              feeds[l].end()) {
-            continue;
-          }
-          if (lineages[l].tail_truncated) stats.tail_truncated = true;
-          for (const wal::WalRecord<K, P>& rec : lineages[l].records) {
-            if (!KeyInShard(rec.key, i, manifest.boundaries)) continue;
-            if (rec.lsn <= lineages[l].checkpoint_lsn) {
-              ++stats.records_skipped;
-              continue;
-            }
-            switch (rec.type) {
-              case wal::WalRecordType::kInsert:
-                shard->TierInsert(rec.key, rec.payload);
-                break;
-              case wal::WalRecordType::kUpdate:
-                shard->TierUpdate(rec.key, rec.payload);
-                break;
-              case wal::WalRecordType::kErase:
-                shard->TierErase(rec.key);
-                break;
-              default:
-                break;
-            }
-            ++stats.records_replayed;
-          }
-        }
-        next_raw->shards[i] = std::move(shard);
-        return;
-      }
-      std::map<K, P> state;
-      for (size_t j = 0; j < shard_keys[i].size(); ++j) {
-        // Snapshot keys arrive sorted, so end() is always the right
-        // hint: O(1) amortized per key.
-        state.emplace_hint(state.end(), shard_keys[i][j],
-                           shard_payloads[i][j]);
+        shard->segment = std::move((*segments)[i]);
       }
       for (size_t l = 0; l < lineages.size(); ++l) {
         if (std::find(feeds[l].begin(), feeds[l].end(), i) ==
@@ -1998,20 +1932,13 @@ class ShardedAlex {
             ++stats.records_skipped;
             continue;
           }
-          wal::ApplyWalRecord(rec, &state);
+          shard->Replay(rec);
           ++stats.records_replayed;
         }
       }
-      std::vector<K> keys;
-      std::vector<P> payloads;
-      keys.reserve(state.size());
-      payloads.reserve(state.size());
-      for (const auto& [key, payload] : state) {
-        keys.push_back(key);
-        payloads.push_back(payload);
+      if (shard->cold() && !manifest.IsCold(i)) {
+        shard = MakeResident(shard.get());
       }
-      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
-      shard->index.BulkLoad(keys.data(), payloads.data(), keys.size());
       next_raw->shards[i] = std::move(shard);
     });
     for (const wal::ShardReplayStats& stats : rep->shards) {
@@ -2035,14 +1962,17 @@ class ShardedAlex {
       gates.emplace_back(shard->write_gate);
     }
     const bool wal_checkpoint = wal_enabled_ && prefix == wal_prefix_;
-    // A committed snapshot at this prefix determines the previous
-    // generation (for post-commit cleanup) and the next stamp.
+    // The manifest committed at this prefix, if any, numbers this one,
+    // and fresh segment ids must clear every id it references: a save
+    // never overwrites a file the committed checkpoint still needs.
     ShardManifest<K> previous;
-    const bool had_previous =
-        ReadManifest<K>(ManifestPath(prefix), &previous) ==
-        core::SnapshotStatus::kOk;
     ShardManifest<K> manifest;
-    manifest.generation = had_previous ? previous.generation + 1 : 1;
+    manifest.generation = 1;
+    if (ReadManifest<K>(ManifestPath(prefix), &previous) ==
+        core::SnapshotStatus::kOk) {
+      manifest.generation = previous.generation + 1;
+      next_segment_id_ = std::max(next_segment_id_, previous.next_segment_id);
+    }
     manifest.boundaries = table->router.boundaries();
     manifest.router_model = table->router.model();
     manifest.next_wal_id = wal_checkpoint ? next_wal_id_ : 0;
@@ -2051,63 +1981,39 @@ class ShardedAlex {
     manifest.shard_keys.reserve(table->shards.size());
     for (size_t i = 0; i < table->shards.size(); ++i) {
       Shard* shard = table->shards[i].get();
-      uint64_t tier_tag = internal::kTierResident;
+      const uint64_t n = shard->TierSize();
       uint64_t segment_id = 0;
-      if (!shard->cold()) {
-        const std::string shard_path =
-            ShardPath(prefix, manifest.generation, i);
-        const core::SnapshotStatus status =
-            shard->index.SaveToFile(shard_path);
-        if (status != core::SnapshotStatus::kOk) return status;
-        // Durable before the manifest can reference it (and before the
-        // WAL segments it supersedes are deleted below).
-        if (!wal::SyncPath(shard_path)) {
-          return core::SnapshotStatus::kIoError;
-        }
-      } else if (shard->DeltaClean() &&
-                 shard->segment->path() ==
-                     tier::SegmentPath(prefix, shard->segment->id())) {
+      if (shard->cold() && shard->DeltaClean() &&
+          shard->segment->path() ==
+              tier::SegmentPath(prefix, shard->segment->id())) {
         // Clean overlay, segment already durable at this prefix (the
         // demotion/compaction that built it committed it): reference it
         // as-is — the checkpoint writes zero bytes for this shard.
-        tier_tag = internal::kTierCold;
         segment_id = shard->segment->id();
-      } else {
-        // Dirty overlay (or an export to a foreign prefix): fold the
-        // merged stream into a fresh segment at `prefix`. The live
-        // shard keeps its current segment+overlay; only the manifest
-        // references the folded copy.
+      } else if (n > 0) {
+        // Every other shard with records, resident or cold, seals its
+        // drained stream into a fresh segment at `prefix` — durable
+        // before the manifest can reference it (and before the WAL
+        // segments it supersedes are deleted below). The live shard is
+        // untouched; only the manifest references the copy. A shard with
+        // zero keys has no file.
         std::vector<K> keys;
         std::vector<P> payloads;
         DrainShard(shard, &keys, &payloads);
-        if (keys.empty()) {
-          // Fully erased: segments cannot be empty, so this shard
-          // checkpoints as an empty resident snapshot.
-          const std::string shard_path =
-              ShardPath(prefix, manifest.generation, i);
-          const core::SnapshotStatus status =
-              core::WriteSnapshotFile<K, P>(shard_path, nullptr, nullptr,
-                                            0);
-          if (status != core::SnapshotStatus::kOk) return status;
-          if (!wal::SyncPath(shard_path)) {
-            return core::SnapshotStatus::kIoError;
-          }
-        } else {
-          std::shared_ptr<tier::ColdSegment<K, P>> folded;
-          const uint64_t seg_id = next_segment_id_++;
-          const core::SnapshotStatus status =
-              WriteAndOpenSegment(prefix, seg_id, keys.data(),
-                                  payloads.data(), keys.size(), &folded);
-          if (status != core::SnapshotStatus::kOk) return status;
-          tier_tag = internal::kTierCold;
-          segment_id = seg_id;
-        }
+        std::shared_ptr<tier::ColdSegment<K, P>> sealed;
+        segment_id = next_segment_id_++;
+        const core::SnapshotStatus status =
+            WriteAndOpenSegment(prefix, segment_id, keys.data(),
+                                payloads.data(), keys.size(), &sealed);
+        if (status != core::SnapshotStatus::kOk) return status;
       }
-      manifest.shard_keys.push_back(shard->TierSize());
-      manifest.tier_tags.push_back(tier_tag);
+      manifest.shard_keys.push_back(n);
+      manifest.tier_tags.push_back(shard->cold() && n > 0
+                                       ? internal::kTierCold
+                                       : internal::kTierResident);
       manifest.segment_ids.push_back(segment_id);
       // With the gates held, log and index are in lockstep: this
-      // snapshot holds exactly the effects of records up to last_lsn().
+      // checkpoint holds exactly the effects of records up to last_lsn().
       const auto& log = shard->log;
       if (wal_checkpoint && log != nullptr) {
         manifest.wal_ids.push_back(log->wal_id());
@@ -2149,18 +2055,11 @@ class ShardedAlex {
       ALEX_OBS_EVENT(obs::EventType::kCheckpoint, obs::kShardAll, 0, max_lsn,
                      manifest.generation, table->shards.size());
     }
-    // Post-commit, best-effort cleanup: the superseded generation's
-    // shard files, any strays from crashed saves (other generations, or
-    // same-generation indexes past the shard count), and — after a
-    // checkpoint rotation — every WAL segment the snapshot covers.
-    if (had_previous) {
-      for (size_t i = 0; i < previous.num_shards(); ++i) {
-        std::remove(
-            ShardPath(prefix, previous.generation, i).c_str());
-      }
-    }
-    SweepStaleSnapshots(prefix, manifest.generation,
-                        table->shards.size());
+    // Post-commit, best-effort cleanup: every segment at the prefix that
+    // neither this manifest nor the live table references (superseded
+    // checkpoint images, promoted shards' segments, strays from crashed
+    // saves) and — after a checkpoint rotation — every WAL segment the
+    // checkpoint covers.
     SweepStaleSegments(prefix, manifest.segment_ids, table);
     if (wal_checkpoint) {
       for (const auto& shard : table->shards) {
@@ -2172,8 +2071,8 @@ class ShardedAlex {
     } else if (!wal_enabled_) {
       // This manifest records no checkpoint LSNs, so any segment left at
       // the prefix (e.g. the logs a recovery just replayed) would replay
-      // *from LSN 0 over this newer snapshot* at the next load. They are
-      // superseded by the committed snapshot: remove them all. Skipped
+      // *from LSN 0 over this newer checkpoint* at the next load. They are
+      // superseded by the committed checkpoint: remove them all. Skipped
       // while logging is live: `prefix` could then be a spelled-
       // differently alias of wal_prefix_ (./db vs db), and sweeping
       // would unlink the live logs' current segments. (Recovery guards
@@ -2184,51 +2083,10 @@ class ShardedAlex {
     return core::SnapshotStatus::kOk;
   }
 
-  /// Parses `<base>.g<gen>.shard-<idx>` (the ShardPath format). Returns
-  /// false for any other name.
-  static bool ParseShardFileName(const std::string& name,
-                                 const std::string& base, uint64_t* gen,
-                                 uint64_t* idx) {
-    const std::string marker = base + ".g";
-    if (name.size() <= marker.size() ||
-        name.compare(0, marker.size(), marker) != 0) {
-      return false;
-    }
-    unsigned long long g = 0, i = 0;
-    int consumed = 0;
-    const char* tail = name.c_str() + marker.size();
-    if (std::sscanf(tail, "%llu.shard-%llu%n", &g, &i, &consumed) != 2 ||
-        tail[consumed] != '\0') {
-      return false;
-    }
-    *gen = g;
-    *idx = i;
-    return true;
-  }
-
-  /// Removes every shard snapshot file at the prefix that the committed
-  /// manifest does not reference: other generations (crashed saves,
-  /// superseded snapshots) and same-generation strays past the shard
-  /// count (a crashed wider save reusing the generation number).
-  void SweepStaleSnapshots(const std::string& prefix, uint64_t generation,
-                           size_t num_shards) const {
-    std::string dir, base;
-    wal::SplitPrefixPath(prefix, &dir, &base);
-    std::vector<std::string> names;
-    if (!wal::ListDirectory(dir, &names)) return;
-    for (const std::string& name : names) {
-      uint64_t gen = 0, idx = 0;
-      if (ParseShardFileName(name, base, &gen, &idx) &&
-          (gen != generation || idx >= num_shards)) {
-        std::remove((dir + "/" + name).c_str());
-      }
-    }
-  }
-
   /// Removes every WAL segment at the prefix that is not some live
   /// shard's *current* segment (all of them when `table` is null — a
   /// save without a checkpoint). Only called after a manifest commit,
-  /// when the snapshot has made the swept segments (rotated-out seqs,
+  /// when the checkpoint has made the swept segments (rotated-out seqs,
   /// sealed split victims, abandoned or replayed lineages) redundant.
   void SweepStaleWalSegments(const std::string& prefix,
                              Table* table) const {
@@ -2375,14 +2233,9 @@ class ShardedAlex {
     Shard* victim = table->shards[idx].get();
     if (!victim->cold()) return core::SnapshotStatus::kOk;
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    DrainShard(victim, &keys, &payloads);
     const uint64_t old_segment = victim->segment->id();
-    const uint64_t n = keys.size();
-    auto resident =
-        std::make_shared<Shard>(options_.shard_config, &epoch_);
-    resident->index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    std::shared_ptr<Shard> resident = MakeResident(victim);
+    const uint64_t n = resident->TierSize();
     ReplaceShard(table, idx, std::move(resident), &gate);
     // The segment file is NOT unlinked here: the committed manifest may
     // still reference it (a crash before the next checkpoint must be
@@ -2407,8 +2260,8 @@ class ShardedAlex {
     if (!victim->cold()) return core::SnapshotStatus::kOk;
     if (victim->DeltaClean()) return core::SnapshotStatus::kOk;
     if (victim->TierSize() == 0) {
-      // Everything erased: a segment cannot be empty, so the compacted
-      // form of this shard is an empty resident one.
+      // Everything erased: a zero-key shard has no segment, so the
+      // compacted form of this shard is an empty resident one.
       return PromoteShardLocked(idx);
     }
     const std::string prefix = TierPrefix();
@@ -2438,10 +2291,10 @@ class ShardedAlex {
     return core::SnapshotStatus::kOk;
   }
 
-  /// Removes cold-segment files at `prefix` that neither the committed
+  /// Removes segment files at `prefix` that neither the committed
   /// manifest (`keep`) nor the live table references, plus every .tmp
   /// stray a crashed writer left behind. Post-commit, best-effort, like
-  /// the snapshot/WAL sweeps.
+  /// the WAL sweep.
   void SweepStaleSegments(const std::string& prefix,
                           std::vector<uint64_t> keep,
                           const Table* table) const {

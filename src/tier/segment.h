@@ -1,5 +1,6 @@
-// Cold-tier segment: a sealed, checksummed, read-only on-disk image of one
-// demoted shard (ROADMAP "larger-than-RAM tiering"). The shape follows the
+// Segment: a sealed, checksummed, read-only on-disk image of one shard's
+// sorted run — the backing store of a cold shard and the checkpoint image
+// of every shard (ROADMAP "larger-than-RAM tiering"). The shape follows the
 // paper's own argument one level down: instead of a comparison tree over
 // blocks, a *learned fence model* (models/linear_model.h) predicts which
 // block holds a key, verified against the resident fence-key array exactly
@@ -22,17 +23,23 @@
 // hot ones pinned in user space, so a segment's DRAM cost is its metadata
 // plus whatever the cache holds.
 //
-// One writer serves three producers: checkpointing a cold shard, demoting
-// a resident shard, and compacting a cold shard's delta overlay — all
-// stream sorted (key, payload) runs through WriteSegmentFile, so the three
-// paths cannot diverge in format.
+// A segment is the repo's one on-disk format for a sorted run. One writer
+// serves three producers: checkpointing any shard (resident or cold — the
+// manifest's tier tag is the only difference), demoting a resident shard,
+// and compacting a cold shard's delta overlay. All stream sorted
+// (key, payload) runs through WriteSegmentFile, so the paths cannot
+// diverge in format, and recovery reads every shard back through Open +
+// VerifyAllBlocks.
 //
 // Integrity: every block carries its own FNV-1a checksum (verified on
 // every cache miss load and by VerifyAllBlocks at recovery), the metadata
 // arrays are covered by meta_checksum, and the header by header_checksum.
 // Any mismatch surfaces as core::SnapshotStatus::kSegmentCorrupt —
 // distinct from kTruncated/kBadMagic so a flipped byte is never mistaken
-// for a torn or foreign file.
+// for a torn or foreign file. VerifyAllBlocks also proves the keys
+// strictly increasing (kUnsortedKeys): a segment that checksums clean but
+// is out of order (a buggy or foreign writer) must never reach BulkLoad
+// or the in-block binary search.
 #pragma once
 
 #include <fcntl.h>
@@ -122,7 +129,7 @@ inline bool ParseSegmentFileName(const std::string& name,
   return true;
 }
 
-/// The one cold-segment writer (checkpoint, demotion and compaction all
+/// The one sorted-run writer (checkpoint, demotion and compaction all
 /// call it). `keys` must be strictly increasing. Writes straight to
 /// `path`; callers stage under a `.tmp` name and rename for atomicity.
 template <typename K, typename P>
@@ -300,13 +307,24 @@ class ColdSegment {
                                      : core::SnapshotStatus::kSegmentCorrupt;
   }
 
-  /// Full-audit pass: every block re-checksummed (recovery calls this
-  /// before trusting a segment the manifest references).
+  /// Full-audit pass (recovery calls this before trusting a segment the
+  /// manifest references): every block re-checksummed, then its keys
+  /// checked strictly increasing, within the block and across the
+  /// boundary from the previous one. kSegmentCorrupt / kUnsortedKeys.
   core::SnapshotStatus VerifyAllBlocks() const {
     std::vector<uint8_t> block;
+    K prev{};
     for (size_t b = 0; b < header_.num_blocks; ++b) {
       const core::SnapshotStatus status = LoadBlock(b, &block);
       if (status != core::SnapshotStatus::kOk) return status;
+      const size_t m = BlockKeys(b);
+      for (size_t i = 0; i < m; ++i) {
+        const K key = internal::LoadAt<K>(block.data() + i * sizeof(K));
+        if ((b > 0 || i > 0) && !(prev < key)) {
+          return core::SnapshotStatus::kUnsortedKeys;
+        }
+        prev = key;
+      }
     }
     return core::SnapshotStatus::kOk;
   }
@@ -409,9 +427,8 @@ class ColdSegment {
     if (header.num_keys == 0 || header.keys_per_block == 0) {
       return core::SnapshotStatus::kTruncated;
     }
-    // Division-first overflow guards (the serialization.h idiom): bound
-    // the counts by what the file could possibly hold before any
-    // multiplication.
+    // Division-first overflow guards: bound the counts by what the file
+    // could possibly hold before any multiplication.
     const uint64_t record = sizeof(K) + sizeof(P);
     if (header.num_keys > file_size / record ||
         header.num_blocks > file_size / (sizeof(uint64_t) + sizeof(K))) {

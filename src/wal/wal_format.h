@@ -159,7 +159,7 @@ namespace internal {
 inline constexpr uint64_t kWalMagic = 0x414C455857414C53ULL;
 inline constexpr uint32_t kWalVersion = 1;
 
-// The checksum primitive is shared with the snapshot/manifest formats.
+// The checksum primitive is shared with the segment/manifest formats.
 using core::internal::Fnv1a;
 using core::internal::kFnvOffsetBasis;
 
@@ -276,7 +276,7 @@ inline void AppendWalTopologyRecord(std::vector<uint8_t>* out,
 
 // ---- File naming ----
 
-/// Splits a snapshot/WAL prefix into the directory to scan and the
+/// Splits a checkpoint/WAL prefix into the directory to scan and the
 /// filename stem every file of this prefix starts with.
 inline void SplitPrefixPath(const std::string& prefix, std::string* dir,
                             std::string* base) {
@@ -330,7 +330,7 @@ inline bool ParseWalSegmentName(const std::string& name,
 }
 
 /// fsyncs an existing file (or directory) by path. A checkpoint must
-/// make its snapshot files and manifest — and the directory entry of the
+/// make its segment files and manifest — and the directory entry of the
 /// manifest rename — durable *before* deleting the fdatasync-durable WAL
 /// segments they supersede, or a power loss would downgrade acknowledged
 /// writes to page-cache-only.

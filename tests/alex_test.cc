@@ -497,5 +497,62 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// ---- Reverse iteration ----
+
+TEST(ReverseIterationTest, LastAndDecrementWalkBackwards) {
+  AlexInt index;
+  for (int64_t i = 0; i < 5000; ++i) index.Insert(i * 4, i);
+  auto it = index.Last();
+  ASSERT_FALSE(it.IsEnd());
+  EXPECT_EQ(it.key(), 4999 * 4);
+  int64_t expected = 4999 * 4;
+  size_t seen = 0;
+  while (!it.IsEnd()) {
+    ASSERT_EQ(it.key(), expected);
+    expected -= 4;
+    ++seen;
+    --it;
+  }
+  EXPECT_EQ(seen, 5000u);
+}
+
+TEST(ReverseIterationTest, LastOnEmptyIsEnd) {
+  AlexInt index;
+  EXPECT_TRUE(index.Last().IsEnd());
+}
+
+TEST(ReverseIterationTest, DecrementPastBeginIsEnd) {
+  AlexInt index;
+  index.Insert(10, 1);
+  auto it = index.Last();
+  --it;
+  EXPECT_TRUE(it.IsEnd());
+}
+
+TEST(ReverseIterationTest, ForwardThenBackwardReturnsToStart) {
+  AlexInt index;
+  for (int64_t i = 0; i < 100; ++i) index.Insert(i * 7, i);
+  auto it = index.LowerBound(350);
+  const int64_t anchor = it.key();
+  ++it;
+  --it;
+  EXPECT_EQ(it.key(), anchor);
+}
+
+TEST(ReverseIterationTest, WorksAcrossLeavesAfterSplits) {
+  Config config;
+  config.max_data_node_keys = 64;  // many leaves
+  config.split_fanout = 4;
+  AlexInt index(config);
+  for (int64_t i = 0; i < 3000; ++i) index.Insert(i, i);
+  auto it = index.Last();
+  for (int64_t expected = 2999; expected >= 0; --expected) {
+    ASSERT_FALSE(it.IsEnd());
+    ASSERT_EQ(it.key(), expected);
+    --it;
+  }
+  EXPECT_TRUE(it.IsEnd());
+}
+
 }  // namespace
 }  // namespace alex::core

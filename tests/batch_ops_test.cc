@@ -21,6 +21,7 @@
 #include "util/random.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
+#include "prefix_test_util.h"
 
 namespace alex {
 namespace {
@@ -34,18 +35,6 @@ using wal::WalStatus;
 
 std::string TempPrefix(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-void Cleanup(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
 }
 
 wal::WalOptions Wal(SyncPolicy policy) {
@@ -320,7 +309,7 @@ TEST(BatchOpsTest, ConcurrentBatchWritersAndReaders) {
 // run is one group-committed record batch, and recovery replays them all.
 TEST(BatchOpsTest, WalBatchRecoveryRoundTrip) {
   const std::string prefix = TempPrefix("batch-wal-roundtrip");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kKeys = 3000;
   constexpr int64_t kErased = 500;
   constexpr size_t kBatch = 250;
@@ -367,7 +356,7 @@ TEST(BatchOpsTest, WalBatchRecoveryRoundTrip) {
     ASSERT_EQ(v, k * 7) << "key " << k;
   }
   EXPECT_TRUE(recovered.CheckInvariants());
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // A WAL failure inside a batch fails that shard run closed: no flag
@@ -377,7 +366,7 @@ TEST(BatchOpsTest, WalBatchRecoveryRoundTrip) {
 // count (one LSN per key, batch group commit does not drop records).
 TEST(BatchOpsTest, BatchCommitCountsMatchWalRecords) {
   const std::string prefix = TempPrefix("batch-wal-counts");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr size_t kBatch = 333;
   {
     shard::ShardedOptions options;
@@ -400,7 +389,7 @@ TEST(BatchOpsTest, BatchCommitCountsMatchWalRecords) {
   ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
   EXPECT_EQ(report.records_replayed, kBatch);
   EXPECT_EQ(recovered.size(), kBatch);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Crash-injection tests for the snapshot/checkpoint atomic-commit path:
-// simulate a save that died between writing shard files and renaming the
-// manifest (the commit point), with and without leftover superseded-
-// generation files, and assert (a) the previous snapshot still loads
-// bit-for-bit and (b) the next successful save sweeps every stale file.
+// Crash-injection tests for the checkpoint atomic-commit path: simulate a
+// save that died between writing its segments and renaming the manifest
+// (the commit point), with and without leftover stray segments, and
+// assert (a) the previous checkpoint still loads bit-for-bit and (b) the
+// next successful save sweeps every stale file.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,10 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "shard/manifest.h"
+#include "tier/segment.h"
 #include "wal/wal_format.h"
+#include "prefix_test_util.h"
 
 namespace alex::shard {
 namespace {
@@ -49,14 +52,6 @@ std::set<std::string> FilesAt(const std::string& prefix) {
   return out;
 }
 
-void Cleanup(const std::string& prefix) {
-  std::string dir, base;
-  wal::SplitPrefixPath(prefix, &dir, &base);
-  for (const std::string& name : FilesAt(prefix)) {
-    std::remove((dir + "/" + name).c_str());
-  }
-}
-
 void FillDense(Sharded* index, int64_t n) {
   std::vector<int64_t> keys, payloads;
   for (int64_t k = 0; k < n; ++k) {
@@ -74,31 +69,34 @@ void WriteGarbageFile(const std::string& path) {
   std::fclose(f);
 }
 
-/// Simulates a save of generation `gen` that crashed after writing shard
-/// files (some real-looking, by copying; here garbage suffices because
-/// the manifest never came to reference them) but before the manifest
-/// rename: the would-be shard files and the orphaned .manifest.tmp exist,
-/// the manifest still names the previous generation.
-void InjectCrashedSave(const std::string& prefix, uint64_t gen,
-                       size_t shards) {
+/// Simulates a save that crashed after writing its segments (garbage
+/// suffices: the manifest never came to reference them) but before the
+/// manifest rename: segments under the ids the save would allocate next,
+/// a half-written .tmp segment and the orphaned .manifest.tmp exist; the
+/// committed manifest still names the previous checkpoint's segments.
+void InjectCrashedSave(const std::string& prefix, size_t shards) {
+  ShardManifest<int64_t> committed;
+  ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &committed),
+            SnapshotStatus::kOk);
   for (size_t i = 0; i < shards; ++i) {
-    WriteGarbageFile(Sharded::ShardPath(prefix, gen, i));
+    WriteGarbageFile(tier::SegmentPath(prefix, committed.next_segment_id + i));
   }
+  WriteGarbageFile(
+      tier::SegmentPath(prefix, committed.next_segment_id + shards) + ".tmp");
   WriteGarbageFile(Sharded::ManifestPath(prefix) + ".tmp");
 }
 
 TEST(CrashInjectionTest, CrashBeforeManifestRenameKeepsPreviousSnapshot) {
   const std::string prefix = TempPrefix("crash-rename");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   Sharded index(Opts(4));
   FillDense(&index, 8000);
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 1
 
   // The index moved on, then a second save died right before its commit
-  // point: generation-2 shard files exist, the manifest does not name
-  // them.
+  // point: its segments exist, the manifest does not name them.
   ASSERT_TRUE(index.Insert(100000, 1));
-  InjectCrashedSave(prefix, /*gen=*/2, /*shards=*/4);
+  InjectCrashedSave(prefix, /*shards=*/4);
 
   // The previous snapshot is what loads — completely, and without the
   // post-save insert the crashed save would have captured.
@@ -111,25 +109,24 @@ TEST(CrashInjectionTest, CrashBeforeManifestRenameKeepsPreviousSnapshot) {
     ASSERT_TRUE(loaded.Get(k, &v));
     ASSERT_EQ(v, k * 3);
   }
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(CrashInjectionTest, NextSaveSweepsStaleGenerations) {
   const std::string prefix = TempPrefix("crash-sweep");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   Sharded index(Opts(2));
   FillDense(&index, 2000);
-  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 1
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // segments 1, 2
 
-  // Leftovers of every flavor: a crashed generation-2 save, plus stray
-  // superseded-generation files a long-dead process left behind, plus a
-  // same-generation shard index past the real shard count.
-  InjectCrashedSave(prefix, /*gen=*/2, /*shards=*/2);
-  WriteGarbageFile(Sharded::ShardPath(prefix, 7, 0));
-  WriteGarbageFile(Sharded::ShardPath(prefix, 1, 9));
+  // Leftovers of every flavor: a crashed save (segments 3, 4, a torn
+  // .tmp 5 and a .manifest.tmp), plus a stray segment a long-dead
+  // process left behind far past the id watermark.
+  InjectCrashedSave(prefix, /*shards=*/2);
+  WriteGarbageFile(tier::SegmentPath(prefix, 70));
 
-  // A fresh save (generation 2 again — it numbers from the committed
-  // manifest) overwrites the crashed files and sweeps everything stale.
+  // A fresh save allocates from the committed manifest's watermark,
+  // overwrites the crashed files, and sweeps everything stale.
   ASSERT_TRUE(index.Insert(100000, 5));
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
@@ -137,8 +134,8 @@ TEST(CrashInjectionTest, NextSaveSweepsStaleGenerations) {
   wal::SplitPrefixPath(prefix, &dir, &base);
   const std::set<std::string> expected = {
       base + ".manifest",
-      base + ".g2.shard-0000",
-      base + ".g2.shard-0001",
+      base + ".seg-3",
+      base + ".seg-4",
   };
   EXPECT_EQ(FilesAt(prefix), expected);
 
@@ -146,14 +143,41 @@ TEST(CrashInjectionTest, NextSaveSweepsStaleGenerations) {
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 2001u);
   EXPECT_TRUE(loaded.Contains(100000));
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(CrashInjectionTest, FreshIndexSaveNeverOverwritesCommittedSegments) {
+  // A save from an index that never saw this prefix must still allocate
+  // segment ids above everything the committed manifest references: a
+  // crash before its own manifest rename then leaves the committed
+  // checkpoint intact.
+  const std::string prefix = TempPrefix("crash-fresh-ids");
+  test_util::RemovePrefixFiles(prefix);
+  ShardManifest<int64_t> first;
+  {
+    Sharded index(Opts(4));
+    FillDense(&index, 8000);
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+    ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &first),
+              SnapshotStatus::kOk);
+  }
+  Sharded other(Opts(2));
+  FillDense(&other, 1000);
+  ASSERT_EQ(other.SaveTo(prefix), SnapshotStatus::kOk);
+  ShardManifest<int64_t> second;
+  ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &second),
+            SnapshotStatus::kOk);
+  for (const uint64_t id : second.segment_ids) {
+    EXPECT_GE(id, first.next_segment_id);
+  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(CrashInjectionTest, CrashedSaveWithLeftoverTmpManifestStillCommits) {
   // An orphaned .manifest.tmp from a crashed save must not confuse or
   // corrupt the next commit (it is simply overwritten and renamed away).
   const std::string prefix = TempPrefix("crash-tmp");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   WriteGarbageFile(Sharded::ManifestPath(prefix) + ".tmp");
   Sharded index(Opts(2));
   FillDense(&index, 1000);
@@ -163,7 +187,7 @@ TEST(CrashInjectionTest, CrashedSaveWithLeftoverTmpManifestStillCommits) {
   Sharded loaded(Opts(2));
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 1000u);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(CrashInjectionTest, CheckpointCrashKeepsLogReplayConsistent) {
@@ -171,13 +195,13 @@ TEST(CrashInjectionTest, CheckpointCrashKeepsLogReplayConsistent) {
   // leaves the previous checkpoint + the previous logs, which still
   // recover everything written before the crash.
   const std::string prefix = TempPrefix("crash-walckpt");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(2));
     ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
     for (int64_t k = 0; k < 500; ++k) ASSERT_TRUE(index.Insert(k, k));
-    // Crashed second checkpoint: generation-2 shard files only.
-    InjectCrashedSave(prefix, /*gen=*/2, /*shards=*/1);
+    // Crashed second checkpoint: its segment files only.
+    InjectCrashedSave(prefix, /*shards=*/1);
     for (int64_t k = 500; k < 600; ++k) ASSERT_TRUE(index.Insert(k, k));
   }
   Sharded recovered(Opts(2));
@@ -190,7 +214,7 @@ TEST(CrashInjectionTest, CheckpointCrashKeepsLogReplayConsistent) {
     ASSERT_TRUE(recovered.Get(k, &v));
     ASSERT_EQ(v, k);
   }
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 void CopyFile(const std::string& from, const std::string& to) {
@@ -214,7 +238,7 @@ TEST(CrashInjectionTest, CrashBetweenManifestRenameAndSegmentSweep) {
   // the snapshot via their checkpointed children) instead of failing
   // on an orphan lineage — and must not replay their stale records.
   const std::string prefix = TempPrefix("crash-sweep-window");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kN = 3000;
   {
     ShardedOptions options = Opts(1);
@@ -263,7 +287,7 @@ TEST(CrashInjectionTest, CrashBetweenManifestRenameAndSegmentSweep) {
     ASSERT_EQ(v, k);
   }
   EXPECT_TRUE(recovered.CheckInvariants());
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(CrashInjectionTest, CrashBetweenMergePublishAndChildCheckpoint) {
@@ -275,7 +299,7 @@ TEST(CrashInjectionTest, CrashBetweenMergePublishAndChildCheckpoint) {
   // anchors: no acknowledged write lost, checkpoint boundaries
   // restored.
   const std::string prefix = TempPrefix("crash-mergepub");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   std::vector<int64_t> bounds_at_checkpoint;
   constexpr int64_t kN = 12000;
   {
@@ -320,7 +344,7 @@ TEST(CrashInjectionTest, CrashBetweenMergePublishAndChildCheckpoint) {
   }
   EXPECT_FALSE(recovered.Contains(2));  // erases survived too
   EXPECT_TRUE(recovered.CheckInvariants());
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "shard/sharded_alex.h"
+#include "prefix_test_util.h"
 
 namespace alex {
 namespace {
@@ -31,20 +32,6 @@ using Sharded = shard::ShardedAlex<int64_t, int64_t>;
 std::string TempPrefix(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
 }
-
-#if !defined(ALEX_DISABLE_OBS)
-void CleanupFiles(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 32; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
-}
-#endif  // !ALEX_DISABLE_OBS
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -163,7 +150,7 @@ bool FindNewest(EventType type, JournalEvent* out) {
 TEST_F(JournalTest, LifecycleSeamsJournalTheirEvents) {
   obs::SetEnabled(true);
   const std::string prefix = TempPrefix("journal_lifecycle");
-  CleanupFiles(prefix);
+  test_util::RemovePrefixFiles(prefix);
 
   shard::ShardedOptions options;
   options.num_shards = 2;
@@ -201,7 +188,7 @@ TEST_F(JournalTest, LifecycleSeamsJournalTheirEvents) {
     EXPECT_EQ(e.b, 2);   // recovered shard count
     EXPECT_GE(e.a, 0);   // records replayed
   }
-  CleanupFiles(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // Forced splits must journal kTopologySplit with the victim's identity.

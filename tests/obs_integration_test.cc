@@ -24,6 +24,7 @@
 
 #include "obs/metrics.h"
 #include "shard/sharded_alex.h"
+#include "prefix_test_util.h"
 
 namespace alex::shard {
 namespace {
@@ -32,18 +33,6 @@ using Sharded = ShardedAlex<int64_t, int64_t>;
 
 [[maybe_unused]] std::string TempPrefix(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-[[maybe_unused]] void CleanupFiles(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 32; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
 }
 
 class ObsIntegrationTest : public ::testing::Test {
@@ -68,7 +57,7 @@ class ObsIntegrationTest : public ::testing::Test {
 // wired, not just compiled.
 TEST_F(ObsIntegrationTest, MixedWorkloadLightsAtLeastTwelveMetrics) {
   const std::string prefix = TempPrefix("obs_mixed");
-  CleanupFiles(prefix);
+  test_util::RemovePrefixFiles(prefix);
   ShardedOptions options;
   options.num_shards = 4;
   options.min_rebalance_keys = 256;
@@ -126,7 +115,7 @@ TEST_F(ObsIntegrationTest, MixedWorkloadLightsAtLeastTwelveMetrics) {
   EXPECT_NE(json.find("shard.topology_splits"), std::string::npos);
   const std::string prom = reg.SnapshotPrometheus();
   EXPECT_NE(prom.find("alex_wal_bytes_written"), std::string::npos);
-  CleanupFiles(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // Conservation: ops issued == ops counted, per type, while the shard
@@ -186,7 +175,7 @@ TEST_F(ObsIntegrationTest, OpCountsAreConservedThroughSplitsAndMerges) {
 // captured, then check the structured context of what the layers reported.
 TEST_F(ObsIntegrationTest, SlowOpRingCapturesRealOperations) {
   const std::string prefix = TempPrefix("obs_slow");
-  CleanupFiles(prefix);
+  test_util::RemovePrefixFiles(prefix);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   reg.slow_ops().set_threshold_ns(0);
   ShardedOptions options;
@@ -237,7 +226,7 @@ TEST_F(ObsIntegrationTest, SlowOpRingCapturesRealOperations) {
     }
   }
   EXPECT_TRUE(saw_split_context);
-  CleanupFiles(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 #else  // ALEX_DISABLE_OBS

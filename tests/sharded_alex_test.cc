@@ -1,7 +1,7 @@
 // Tests for the sharded service layer (src/shard/): learned routing
 // (boundary exactness + fallback), cross-shard scans, online rebalance
 // under concurrent readers (built to run under TSan), and per-shard
-// durability including manifest corruption and missing shard files.
+// durability including manifest corruption and missing shard segments.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,9 @@
 
 #include "core/serialization.h"
 #include "shard/router.h"
+#include "tier/segment.h"
 #include "util/random.h"
+#include "prefix_test_util.h"
 #include "scan_test_util.h"
 
 namespace alex::shard {
@@ -571,11 +573,7 @@ TEST(ShardedAlexTest, SaveLoadRoundTripAcrossShardCounts) {
   test_util::ScanAll(loaded, &b);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(loaded.CheckInvariants());
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < index.num_shards(); ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(ShardedAlexTest, SuccessiveSavesCommitAtomicallyPerGeneration) {
@@ -585,23 +583,21 @@ TEST(ShardedAlexTest, SuccessiveSavesCommitAtomicallyPerGeneration) {
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   const std::string prefix = TempPrefix("sharded-generations");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 1
+  const std::string first = test_util::ShardSegmentPath(prefix, 0);
+  ASSERT_FALSE(first.empty());
   ASSERT_TRUE(index.Insert(5000, 50));
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);  // generation 2
 
-  // The superseded generation's shard files were cleaned up; the new
+  // The superseded generation's segments were cleaned up; the new
   // generation is what loads, reflecting the newer state.
-  std::FILE* stale = std::fopen(Sharded::ShardPath(prefix, 1, 0).c_str(),
-                                "rb");
+  ASSERT_NE(test_util::ShardSegmentPath(prefix, 0), first);
+  std::FILE* stale = std::fopen(first.c_str(), "rb");
   EXPECT_EQ(stale, nullptr);
   Sharded loaded(Opts(2));
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
   EXPECT_EQ(loaded.size(), 1001u);
   EXPECT_TRUE(loaded.Contains(5000));
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 2; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 2, i).c_str());
-  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(ShardedAlexTest, LoadFromMissingShardFileIsDistinctError) {
@@ -611,7 +607,7 @@ TEST(ShardedAlexTest, LoadFromMissingShardFileIsDistinctError) {
   index.BulkLoad(keys.data(), payloads.data(), keys.size());
   const std::string prefix = TempPrefix("sharded-missing");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
-  std::remove(Sharded::ShardPath(prefix, 1, 2).c_str());
+  ASSERT_EQ(std::remove(test_util::ShardSegmentPath(prefix, 2).c_str()), 0);
 
   Sharded loaded(Opts(4));
   loaded.Insert(42, 42);
@@ -620,11 +616,37 @@ TEST(ShardedAlexTest, LoadFromMissingShardFileIsDistinctError) {
   int64_t v = 0;
   EXPECT_TRUE(loaded.Get(42, &v));
   EXPECT_EQ(loaded.size(), 1u);
+  test_util::RemovePrefixFiles(prefix);
+}
 
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 4; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+TEST(ShardedAlexTest, InteriorByteFlipInShardSegmentIsSegmentCorrupt) {
+  // Resident shards checkpoint as segments too, so one flipped byte deep
+  // inside a shard's records fails its block checksum at load — counts,
+  // first and last keys all stay plausible.
+  Sharded index(Opts(4));
+  std::vector<int64_t> keys(8000), payloads(8000);
+  for (int64_t i = 0; i < 8000; ++i) keys[i] = payloads[i] = i * 2;
+  index.BulkLoad(keys.data(), payloads.data(), keys.size());
+  const std::string prefix = TempPrefix("sharded-interior-flip");
+  ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+  ASSERT_FALSE(index.IsShardCold(1));
+
+  const std::string segment = test_util::ShardSegmentPath(prefix, 1);
+  std::FILE* f = std::fopen(segment.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+  const long size = std::ftell(f);
+  ASSERT_EQ(std::fseek(f, size / 2, SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, size / 2, SEEK_SET), 0);
+  ASSERT_EQ(std::fputc(c ^ 0xA5, f), c ^ 0xA5);
+  std::fclose(f);
+
+  Sharded loaded(Opts(4));
+  EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kSegmentCorrupt);
+  EXPECT_EQ(loaded.size(), 0u);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(ShardedAlexTest, CorruptManifestChecksumIsDetected) {
@@ -646,11 +668,7 @@ TEST(ShardedAlexTest, CorruptManifestChecksumIsDetected) {
 
   Sharded loaded(Opts(4));
   EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kChecksumMismatch);
-
-  std::remove(manifest.c_str());
-  for (size_t i = 0; i < 4; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(ShardedAlexTest, UnsortedManifestBoundariesAreRejected) {
@@ -670,8 +688,8 @@ TEST(ShardedAlexTest, UnsortedManifestBoundariesAreRejected) {
 
 TEST(ShardedAlexTest, SwappedShardFilesAreDetected) {
   // Even partitioning gives every shard the same key count, so a swap of
-  // two shard files must be caught by the boundary-range check, not the
-  // count check.
+  // two shards' segments must be caught by the boundary-range check, not
+  // the count check.
   Sharded index(Opts(2));
   std::vector<int64_t> keys(2000), payloads(2000);
   for (int64_t i = 0; i < 2000; ++i) keys[i] = payloads[i] = i;
@@ -679,8 +697,8 @@ TEST(ShardedAlexTest, SwappedShardFilesAreDetected) {
   const std::string prefix = TempPrefix("sharded-swapped");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
-  const std::string shard0 = Sharded::ShardPath(prefix, 1, 0);
-  const std::string shard1 = Sharded::ShardPath(prefix, 1, 1);
+  const std::string shard0 = test_util::ShardSegmentPath(prefix, 0);
+  const std::string shard1 = test_util::ShardSegmentPath(prefix, 1);
   const std::string stash = shard0 + ".stash";
   ASSERT_EQ(std::rename(shard0.c_str(), stash.c_str()), 0);
   ASSERT_EQ(std::rename(shard1.c_str(), shard0.c_str()), 0);
@@ -689,11 +707,7 @@ TEST(ShardedAlexTest, SwappedShardFilesAreDetected) {
   Sharded loaded(Opts(2));
   EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kManifestMismatch);
   EXPECT_EQ(loaded.size(), 0u);
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 2; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(ShardedAlexTest, ShardFileCountMismatchIsDetected) {
@@ -704,19 +718,17 @@ TEST(ShardedAlexTest, ShardFileCountMismatchIsDetected) {
   const std::string prefix = TempPrefix("sharded-mismatch");
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
 
-  // Overwrite shard 1's file with a valid snapshot of the wrong size.
-  core::ConcurrentAlex<int64_t, int64_t> rogue;
-  rogue.Insert(5, 5);
-  ASSERT_EQ(rogue.SaveToFile(Sharded::ShardPath(prefix, 1, 1)),
+  // Overwrite shard 1's segment with a valid one-key segment whose key
+  // lies inside the shard's range: only the count can catch it.
+  const int64_t key = 1500, payload = 5;
+  ASSERT_EQ((tier::WriteSegmentFile<int64_t, int64_t>(
+                test_util::ShardSegmentPath(prefix, 1), &key, &payload, 1,
+                64)),
             SnapshotStatus::kOk);
 
   Sharded loaded(Opts(2));
   EXPECT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kManifestMismatch);
-
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (size_t i = 0; i < 2; ++i) {
-    std::remove(Sharded::ShardPath(prefix, 1, i).c_str());
-  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 }  // namespace

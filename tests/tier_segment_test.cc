@@ -1,7 +1,8 @@
 // Unit tests for the cold-tier building blocks (src/tier/): segment
 // write/open round trips, the learned fence lookup with its binary-search
 // fallback, every Validate rejection path (byte flips must surface as the
-// distinct kSegmentCorrupt status), segment file-name parsing for the
+// distinct kSegmentCorrupt status), the full audit's key-order check
+// (kUnsortedKeys), segment file-name parsing for the
 // checkpoint sweep, raw-mapping Get/ScanUntil, and the sharded-LRU block
 // cache (hit/miss/eviction accounting, singleflight miss loading, pinned
 // entries surviving eviction pressure, EraseSegment).
@@ -12,11 +13,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/serialization.h"
@@ -269,6 +272,69 @@ TEST(TierSegment, StructuralRejections) {
   // Missing file.
   std::remove(path.c_str());
   EXPECT_EQ(seg.Open(path, 1), SnapshotStatus::kIoError);
+}
+
+// Re-stamps the header checksum after a test patched a header field, so
+// Validate gets past the checksum to the field-specific check.
+void ResealHeader(std::vector<uint8_t>* bytes) {
+  SegmentHeader header;
+  std::memcpy(&header, bytes->data(), sizeof(header));
+  header.header_checksum = core::internal::Fnv1a(
+      &header, sizeof(header) - sizeof(header.header_checksum),
+      core::internal::kFnvOffsetBasis);
+  std::memcpy(bytes->data(), &header, sizeof(header));
+}
+
+TEST(TierSegment, WrongVersionIsDistinct) {
+  const std::string path = TempPath("seg_version");
+  ASSERT_EQ(WriteRun(path, MakeRun(300), 64), SnapshotStatus::kOk);
+  std::vector<uint8_t> bytes = ReadAll(path);
+  const uint64_t future = 999;
+  std::memcpy(bytes.data() + offsetof(SegmentHeader, version), &future,
+              sizeof(future));
+  ResealHeader(&bytes);
+  WriteAll(path, bytes);
+  Segment seg;
+  EXPECT_EQ(seg.Open(path, 1), SnapshotStatus::kBadVersion);
+  std::remove(path.c_str());
+}
+
+TEST(TierSegment, BogusKeyCountCannotOverAllocate) {
+  // A corrupt count in the exabyte range behind a valid header checksum
+  // must be rejected against the actual file size, not trusted.
+  const std::string path = TempPath("seg_bogus_count");
+  ASSERT_EQ(WriteRun(path, MakeRun(300), 64), SnapshotStatus::kOk);
+  std::vector<uint8_t> bytes = ReadAll(path);
+  const uint64_t bogus = 1ULL << 60;
+  std::memcpy(bytes.data() + offsetof(SegmentHeader, num_keys), &bogus,
+              sizeof(bogus));
+  ResealHeader(&bytes);
+  WriteAll(path, bytes);
+  Segment seg;
+  EXPECT_EQ(seg.Open(path, 1), SnapshotStatus::kTruncated);
+  std::remove(path.c_str());
+}
+
+TEST(TierSegment, UnsortedKeysFailTheAudit) {
+  // A segment that checksums clean but is out of order (a buggy or
+  // foreign writer) opens — Open checks only the fence keys — but the
+  // full audit recovery runs rejects it before BulkLoad could see it.
+  const std::string path = TempPath("seg_unsorted");
+  SortedRun run = MakeRun(300);
+  std::swap(run.keys[10], run.keys[11]);  // inside block 0
+  ASSERT_EQ(WriteRun(path, run, 64), SnapshotStatus::kOk);
+  Segment seg;
+  ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kUnsortedKeys);
+
+  // Across a block boundary: block 0 ends above block 1's first key, yet
+  // each block is ascending on its own and the fence keys stay sorted.
+  run = MakeRun(300);
+  run.keys[63] = run.keys[64] + 1;
+  ASSERT_EQ(WriteRun(path, run, 64), SnapshotStatus::kOk);
+  ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kUnsortedKeys);
+  std::remove(path.c_str());
 }
 
 TEST(TierSegment, KeyAndPayloadWidthMismatch) {

@@ -2,8 +2,9 @@
 // integration): cold-read correctness against a std::map oracle over a
 // mixed hot/cold topology, overlay write semantics (tombstones,
 // revival), the demote/promote/compact lifecycle, checkpoint + recovery
-// with tier preservation, manifest v4 round-trip and v3 cross-version
-// loads, crash-injection stray-segment sweeping, the
+// with tier preservation, zero-key shards that checkpoint without a
+// file, the manifest v5 round-trip and the rejection of v3/v4 manifests,
+// crash-injection stray-segment sweeping, the
 // compaction-shrinks-replay acceptance criterion, the traffic-driven
 // tiering policy, and a TSan target reading cold shards during
 // concurrent tier transitions.
@@ -11,8 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <random>
@@ -27,6 +30,7 @@
 #include "tier/segment.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
+#include "prefix_test_util.h"
 #include "scan_test_util.h"
 
 namespace alex::shard {
@@ -49,23 +53,6 @@ ShardedOptions TierOpts(size_t shards, const std::string& prefix) {
   options.tier_prefix = prefix;
   options.min_rebalance_keys = 1u << 30;
   return options;
-}
-
-/// Best-effort cleanup of every file a tiered test can leave behind.
-void Cleanup(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 8; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (uint64_t id = 1; id <= 64; ++id) {
-    std::remove(tier::SegmentPath(prefix, id).c_str());
-    std::remove((tier::SegmentPath(prefix, id) + ".tmp").c_str());
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
 }
 
 bool FileExists(const std::string& path) {
@@ -233,7 +220,7 @@ TEST(TieredAlexTest, ColdReadsMatchOracleAcrossMixedTopology) {
   ExpectMatchesOracle(index, oracle);
   // Cold point reads route through the block cache.
   EXPECT_GT(index.block_cache().hits() + index.block_cache().misses(), 0u);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, ColdWritesLandInDeltaOverlay) {
@@ -290,7 +277,7 @@ TEST(TieredAlexTest, ColdWritesLandInDeltaOverlay) {
 
   EXPECT_TRUE(index.IsShardCold(1));
   ExpectMatchesOracle(index, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Lifecycle ----
@@ -326,7 +313,7 @@ TEST(TieredAlexTest, DemotePromoteCompactLifecycle) {
   EXPECT_EQ(index.ColdBytes(), 0u);
   EXPECT_EQ(index.promotion_count(), 1u);
   ExpectMatchesOracle(index, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, FullyErasedColdShardCompactsToEmptyResident) {
@@ -350,7 +337,7 @@ TEST(TieredAlexTest, FullyErasedColdShardCompactsToEmptyResident) {
   ASSERT_EQ(index.CompactShard(1), SnapshotStatus::kOk);
   EXPECT_FALSE(index.IsShardCold(1));
   ExpectMatchesOracle(index, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, EmptyShardCannotBeDemoted) {
@@ -359,7 +346,7 @@ TEST(TieredAlexTest, EmptyShardCannotBeDemoted) {
   // Nothing loaded: there is no record stream to seal into a segment.
   EXPECT_NE(index.DemoteShard(0), SnapshotStatus::kOk);
   EXPECT_FALSE(index.IsShardCold(0));
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Checkpoint + recovery ----
@@ -372,7 +359,7 @@ TEST(TieredAlexTest, CheckpointPreservesTierAcrossLoad) {
     oracle = BulkLoadStride3(&index, 2000);
     ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
     // Dirty both tiers after demotion so the checkpoint has to fold the
-    // cold shard's overlay into its snapshot image.
+    // cold shard's overlay into a fresh segment.
     ASSERT_TRUE(index.Insert(1, 111));  // hot shard
     oracle[1] = 111;
     ASSERT_TRUE(index.Update(5100, 42));  // cold shard
@@ -392,7 +379,7 @@ TEST(TieredAlexTest, CheckpointPreservesTierAcrossLoad) {
   ASSERT_TRUE(loaded.Update(5100, 43));
   oracle[5100] = 43;
   ExpectMatchesOracle(loaded, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, RecoveryReplaysColdShardWalTail) {
@@ -422,7 +409,7 @@ TEST(TieredAlexTest, RecoveryReplaysColdShardWalTail) {
   ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
   EXPECT_GE(report.records_replayed, 4u);
   ExpectMatchesOracle(recovered, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, CompactionShrinksReplayChain) {
@@ -471,7 +458,66 @@ TEST(TieredAlexTest, CompactionShrinksReplayChain) {
     EXPECT_TRUE(probe.IsShardCold(1));
     ExpectMatchesOracle(probe, oracle);
   }
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(TieredAlexTest, ZeroKeyShardsCheckpointWithoutFiles) {
+  // Shard 0 ends up an empty resident shard and shard 2 a fully erased
+  // cold one. Both checkpoint as zero-key resident entries with no file
+  // and load back as empty resident shards — with and without a WAL
+  // tail replaying onto them.
+  for (const bool wal_tail : {false, true}) {
+    SCOPED_TRACE(wal_tail ? "with WAL tail" : "without WAL tail");
+    const std::string prefix = TempPrefix("tier-zero-key");
+    test_util::RemovePrefixFiles(prefix);
+    std::map<int64_t, int64_t> oracle;
+    {
+      Sharded index(TierOpts(3, prefix));
+      oracle = BulkLoadStride3(&index, 1500);
+      if (wal_tail) {
+        ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
+      }
+      ASSERT_EQ(index.DemoteShard(2), SnapshotStatus::kOk);
+      const int64_t shard2_lo = index.ShardBoundaries()[1];
+      for (auto it = oracle.begin(); it != oracle.end();) {
+        const size_t shard = index.ShardOf(it->first);
+        if (shard == 0 || shard == 2) {
+          ASSERT_TRUE(index.Erase(it->first));
+          it = oracle.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_TRUE(index.IsShardCold(2));
+      ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+      ShardManifest<int64_t> manifest;
+      ASSERT_EQ(
+          ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+          SnapshotStatus::kOk);
+      EXPECT_EQ(manifest.shard_keys[0], 0u);
+      EXPECT_EQ(manifest.shard_keys[2], 0u);
+      EXPECT_FALSE(manifest.IsCold(0));
+      EXPECT_FALSE(manifest.IsCold(2));
+      if (wal_tail) {
+        // Logged writes past the checkpoint, into both empty shards.
+        for (const int64_t k : {int64_t{1}, int64_t{4}, shard2_lo + 1}) {
+          ASSERT_TRUE(index.Insert(k, -k));
+          oracle[k] = -k;
+        }
+        ASSERT_TRUE(index.Erase(4));
+        oracle.erase(4);
+      }
+    }  // crash: the tail exists only in the logs
+
+    Sharded loaded(TierOpts(3, prefix));
+    wal::RecoveryReport report;
+    ASSERT_EQ(loaded.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+    EXPECT_EQ(report.records_replayed, wal_tail ? 4u : 0u);
+    EXPECT_FALSE(loaded.IsShardCold(0));
+    EXPECT_FALSE(loaded.IsShardCold(2));
+    ExpectMatchesOracle(loaded, oracle);
+    test_util::RemovePrefixFiles(prefix);
+  }
 }
 
 // ---- Manifest formats ----
@@ -531,82 +577,132 @@ void WriteV3Manifest(const std::string& path,
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-TEST(TieredAlexTest, ManifestV4RoundTripsTierState) {
+TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
   ShardManifest<int64_t> manifest;
-  manifest.boundaries = {1000};
-  manifest.shard_keys = {400, 600};
-  manifest.wal_ids = {3, 4};
-  manifest.checkpoint_lsns = {17, 23};
-  manifest.tier_tags = {internal::kTierResident, internal::kTierCold};
-  manifest.segment_ids = {0, 9};
+  manifest.boundaries = {1000, 2000};
+  manifest.shard_keys = {400, 600, 0};
+  manifest.wal_ids = {3, 4, 5};
+  manifest.checkpoint_lsns = {17, 23, 29};
+  manifest.tier_tags = {internal::kTierResident, internal::kTierCold,
+                        internal::kTierResident};
+  manifest.segment_ids = {8, 9, 0};
   manifest.next_segment_id = 10;
   manifest.generation = 2;
-  const std::string path = TempPrefix("tier-manifest-v4") + ".manifest";
+  const std::string path = TempPrefix("tier-manifest-v5") + ".manifest";
   ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
 
   ShardManifest<int64_t> loaded;
   ASSERT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kOk);
+  EXPECT_EQ(loaded.shard_keys, manifest.shard_keys);
   EXPECT_EQ(loaded.tier_tags, manifest.tier_tags);
   EXPECT_EQ(loaded.segment_ids, manifest.segment_ids);
   EXPECT_EQ(loaded.next_segment_id, 10u);
   EXPECT_TRUE(loaded.IsCold(1));
   EXPECT_FALSE(loaded.IsCold(0));
+  EXPECT_FALSE(loaded.IsCold(2));
 
   // A tier tag outside {resident, cold} is rejected even when the
   // checksum validates (foreign-writer defense).
-  manifest.tier_tags = {7, internal::kTierCold};
+  manifest.tier_tags = {7, internal::kTierCold, internal::kTierResident};
+  ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
+  EXPECT_EQ(ReadManifest<int64_t>(path, &loaded),
+            SnapshotStatus::kManifestMismatch);
+
+  // So is a cold tag on a zero-key shard: it has no segment to be cold in.
+  manifest.tier_tags = {internal::kTierResident, internal::kTierCold,
+                        internal::kTierCold};
   ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
   EXPECT_EQ(ReadManifest<int64_t>(path, &loaded),
             SnapshotStatus::kManifestMismatch);
   std::remove(path.c_str());
 }
 
-TEST(TieredAlexTest, V3ManifestLoadsAllResident) {
-  // Unit level: a v3 body reads back with implicit all-resident tiers.
+/// Rewrites the v5 manifest at `path` as a well-formed v4 one: the v4
+/// layout is v5's, only the version and with it the checksum differ (v4
+/// pointed resident shards at per-shard snapshot files).
+void RewriteAsV4Manifest(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::vector<unsigned char> bytes;
+  for (int c; (c = std::fgetc(f)) != EOF;) {
+    bytes.push_back(static_cast<unsigned char>(c));
+  }
+  std::fclose(f);
+  ASSERT_GT(bytes.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
+  const uint32_t v4 = 4;
+  std::memcpy(bytes.data() + offsetof(ManifestHeader, version), &v4,
+              sizeof(v4));
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  const uint64_t checksum = internal::Fnv1a(bytes.data(), body,
+                                            internal::kFnvOffsetBasis);
+  std::memcpy(bytes.data() + body, &checksum, sizeof(checksum));
+  f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+TEST(TieredAlexTest, V3AndV4ManifestsAreRejected) {
+  // Unit level: both older layouts fail closed on the version.
   ShardManifest<int64_t> manifest;
   manifest.boundaries = {500};
   manifest.shard_keys = {2, 2};
-  const std::string path = TempPrefix("tier-manifest-v3") + ".manifest";
+  const std::string path = TempPrefix("tier-manifest-old") + ".manifest";
   WriteV3Manifest(path, manifest);
   ShardManifest<int64_t> loaded;
-  ASSERT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kOk);
-  ASSERT_EQ(loaded.tier_tags.size(), 2u);
-  EXPECT_FALSE(loaded.IsCold(0));
-  EXPECT_FALSE(loaded.IsCold(1));
-  EXPECT_EQ(loaded.next_segment_id, 0u);
+  EXPECT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kBadVersion);
+  ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
+  RewriteAsV4Manifest(path);
+  EXPECT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kBadVersion);
   std::remove(path.c_str());
 
-  // Full stack: rewrite a fresh v4 checkpoint's manifest in the v3
-  // format and load the whole snapshot through it.
-  const std::string prefix = TempPrefix("tier-v3-load");
+  // Full stack: rewrite a fresh checkpoint's manifest in each older
+  // format; the load fails closed and leaves the live index untouched.
+  const std::string prefix = TempPrefix("tier-old-load");
   Sharded index(TierOpts(2, prefix));
-  const auto oracle = BulkLoadStride3(&index, 1000);
+  BulkLoadStride3(&index, 1000);
   ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
   ShardManifest<int64_t> saved;
   ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &saved),
             SnapshotStatus::kOk);
-  WriteV3Manifest(Sharded::ManifestPath(prefix), saved);
-
-  Sharded loaded_index(TierOpts(2, prefix));
-  ASSERT_EQ(loaded_index.LoadFrom(prefix), SnapshotStatus::kOk);
-  ExpectMatchesOracle(loaded_index, oracle);
-  Cleanup(prefix);
+  for (const int version : {3, 4}) {
+    SCOPED_TRACE(version);
+    if (version == 3) {
+      WriteV3Manifest(Sharded::ManifestPath(prefix), saved);
+    } else {
+      ASSERT_EQ(WriteManifest(Sharded::ManifestPath(prefix), saved),
+                SnapshotStatus::kOk);
+      RewriteAsV4Manifest(Sharded::ManifestPath(prefix));
+    }
+    Sharded loaded_index(TierOpts(2, prefix));
+    ASSERT_TRUE(loaded_index.Insert(1, 1));
+    EXPECT_EQ(loaded_index.LoadFrom(prefix), SnapshotStatus::kBadVersion);
+    EXPECT_EQ(loaded_index.size(), 1u);
+  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Crash injection + corruption ----
 
 TEST(TieredAlexTest, CheckpointSweepsStraySegments) {
   const std::string prefix = TempPrefix("tier-stray");
+  test_util::RemovePrefixFiles(prefix);
+  std::string demoted;
   {
     Sharded index(TierOpts(2, prefix));
     BulkLoadStride3(&index, 2000);
     ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
     // Demote after the anchor checkpoint: the segment file lands on
-    // disk, but the committed manifest still calls the shard resident —
-    // exactly the state a crash between segment write and manifest
-    // rename leaves behind.
+    // disk under the next id the manifest reserves, but the committed
+    // manifest still calls the shard resident — exactly the state a
+    // crash between segment write and manifest rename leaves behind.
+    ShardManifest<int64_t> anchor;
+    ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &anchor),
+              SnapshotStatus::kOk);
+    ASSERT_FALSE(anchor.IsCold(1));
     ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
-    ASSERT_TRUE(FileExists(tier::SegmentPath(prefix, 1)));
+    demoted = tier::SegmentPath(prefix, anchor.next_segment_id);
+    ASSERT_TRUE(FileExists(demoted));
   }
   // More crash debris: an unreferenced segment with a high id and a
   // torn temp file from an interrupted segment write.
@@ -623,19 +719,30 @@ TEST(TieredAlexTest, CheckpointSweepsStraySegments) {
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   // The manifest predates the demotion, so the shard comes back
   // resident; the orphaned segment is still on disk (LoadFrom never
-  // deletes), and the next checkpoint sweeps all three strays.
+  // deletes), and the next checkpoint sweeps every stray. The stray scan
+  // raised the id watermark past the debris, so the checkpoint's own
+  // segments land above it instead of recycling swept names: exactly
+  // the manifest and segments 10 and 11 remain.
   EXPECT_FALSE(recovered.IsShardCold(1));
-  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 1)));
+  EXPECT_TRUE(FileExists(demoted));
   ASSERT_EQ(recovered.SaveTo(prefix), SnapshotStatus::kOk);
-  EXPECT_FALSE(FileExists(tier::SegmentPath(prefix, 1)));
-  EXPECT_FALSE(FileExists(stray_seg));
-  EXPECT_FALSE(FileExists(stray_tmp));
+  std::string dir, base;
+  wal::SplitPrefixPath(prefix, &dir, &base);
+  std::vector<std::string> names;
+  ASSERT_TRUE(wal::ListDirectory(dir, &names));
+  std::vector<std::string> left;
+  for (const std::string& name : names) {
+    if (name.rfind(base + ".", 0) == 0) left.push_back(name);
+  }
+  std::sort(left.begin(), left.end());
+  EXPECT_EQ(left, (std::vector<std::string>{base + ".manifest",
+                                            base + ".seg-10",
+                                            base + ".seg-11"}));
 
-  // The stray scan raised the id watermark past the debris: a fresh
-  // demotion allocates above it instead of recycling swept names.
+  // A fresh demotion allocates above the checkpoint's segments.
   ASSERT_EQ(recovered.DemoteShard(1), SnapshotStatus::kOk);
-  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 10)));
-  Cleanup(prefix);
+  EXPECT_TRUE(FileExists(tier::SegmentPath(prefix, 12)));
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, CorruptOrMissingSegmentIsRejectedDistinctly) {
@@ -670,14 +777,14 @@ TEST(TieredAlexTest, CorruptOrMissingSegmentIsRejectedDistinctly) {
     EXPECT_EQ(probe.size(), 0u);  // failed load left it untouched
   }
 
-  // A manifest-referenced segment the filesystem lacks is the same
-  // distinct error as a missing shard snapshot.
+  // A manifest-referenced segment the filesystem lacks is its own
+  // distinct error.
   ASSERT_EQ(std::remove(seg_path.c_str()), 0);
   {
     Sharded probe(TierOpts(2, prefix));
     EXPECT_EQ(probe.LoadFrom(prefix), SnapshotStatus::kMissingShard);
   }
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Tiering policy ----
@@ -718,7 +825,7 @@ TEST(TieredAlexTest, TieringTickDemotesIdleShardsAndPromotesHotOnes) {
   EXPECT_FALSE(index.IsShardCold(3));
   EXPECT_GE(index.promotion_count(), 1u);
   ExpectMatchesOracle(index, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(TieredAlexTest, BackgroundTieringThreadStartsAndStops) {
@@ -743,7 +850,7 @@ TEST(TieredAlexTest, BackgroundTieringThreadStartsAndStops) {
   index.StopTiering();
   index.StopTiering();  // idempotent
   ExpectMatchesOracle(index, oracle);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Concurrency (TSan target) ----
@@ -818,7 +925,7 @@ TEST(TieredAlexTest, ColdReadsDuringConcurrentTierTransitions) {
     ASSERT_TRUE(index.Get(keys[i], &got));
     ASSERT_EQ(got, payloads[i]);
   }
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 }  // namespace

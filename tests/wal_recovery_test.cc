@@ -18,6 +18,7 @@
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
 #include "scan_test_util.h"
+#include "prefix_test_util.h"
 
 namespace alex::shard {
 namespace {
@@ -29,19 +30,6 @@ using wal::WalStatus;
 
 std::string TempPrefix(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-/// Removes every file (manifest, snapshots, segments) of a prefix.
-void Cleanup(const std::string& prefix) {
-  std::remove(Sharded::ManifestPath(prefix).c_str());
-  for (uint64_t gen = 1; gen <= 8; ++gen) {
-    for (size_t i = 0; i < 16; ++i) {
-      std::remove(Sharded::ShardPath(prefix, gen, i).c_str());
-    }
-  }
-  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
-    std::remove(f.path.c_str());
-  }
 }
 
 wal::WalOptions Wal(SyncPolicy policy) {
@@ -73,7 +61,7 @@ TEST(WalRecoveryTest, KillAndRecoverAcrossACheckpoint) {
   // Write N keys under kAlways, checkpoint, write M more, "crash" (drop
   // the index without SaveTo), recover: all N+M keys must come back.
   const std::string prefix = TempPrefix("recover-acceptance");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kN = 2000, kM = 500;
   {
     Sharded index(Opts(4));
@@ -95,12 +83,12 @@ TEST(WalRecoveryTest, KillAndRecoverAcrossACheckpoint) {
   EXPECT_EQ(report.status, WalStatus::kOk);
   EXPECT_EQ(report.records_replayed, static_cast<size_t>(kM));
   ExpectDenseContents(recovered, kN + kM);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, TornFinalRecordLosesAtMostThatRecord) {
   const std::string prefix = TempPrefix("recover-torn");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kN = 400;
   {
     ShardedOptions options = Opts(1);  // one shard -> one log file
@@ -136,14 +124,14 @@ TEST(WalRecoveryTest, TornFinalRecordLosesAtMostThatRecord) {
   ASSERT_EQ(again.LoadFrom(prefix, &report), SnapshotStatus::kOk);
   EXPECT_FALSE(report.tail_truncated);
   ExpectDenseContents(again, kN - 1);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Edge cases ----
 
 TEST(WalRecoveryTest, EmptyLogRecoversTheSnapshotExactly) {
   const std::string prefix = TempPrefix("recover-emptylog");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kN = 1000;
   {
     Sharded index(Opts(3));
@@ -163,12 +151,12 @@ TEST(WalRecoveryTest, EmptyLogRecoversTheSnapshotExactly) {
   ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
   EXPECT_EQ(report.records_replayed, 0u);
   ExpectDenseContents(recovered, kN);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, ReplayIsIdempotentAcrossRepeatedLoads) {
   const std::string prefix = TempPrefix("recover-idem");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kN = 600;
   {
     Sharded index(Opts(2));
@@ -197,12 +185,12 @@ TEST(WalRecoveryTest, ReplayIsIdempotentAcrossRepeatedLoads) {
   EXPECT_FALSE(second.Contains(11));  // erase survived
   ASSERT_TRUE(second.Get(12, &v));
   EXPECT_EQ(v, 12 * 7);  // duplicate insert stayed a no-op
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, ChecksumFlipMidSegmentFailsRecoveryUntouched) {
   const std::string prefix = TempPrefix("recover-flip");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(1));
     ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kAlways)),
@@ -240,14 +228,14 @@ TEST(WalRecoveryTest, ChecksumFlipMidSegmentFailsRecoveryUntouched) {
   int64_t v = 0;
   EXPECT_TRUE(recovered.Get(42, &v));
   EXPECT_EQ(recovered.size(), 1u);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, RecoversAcrossShardSplits) {
   // Force online splits while logging: the victims' sealed segments and
   // the replacements' fresh segments must chain through recovery.
   const std::string prefix = TempPrefix("recover-split");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int64_t kN = 12000;
   uint64_t splits = 0;
   {
@@ -271,12 +259,12 @@ TEST(WalRecoveryTest, RecoversAcrossShardSplits) {
   ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
   EXPECT_EQ(report.status, WalStatus::kOk);
   ExpectDenseContents(recovered, kN);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, CheckpointRotationPrunesSegmentsAndStaysRecoverable) {
   const std::string prefix = TempPrefix("recover-rotate");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(2));
     ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kBatch)),
@@ -296,14 +284,14 @@ TEST(WalRecoveryTest, CheckpointRotationPrunesSegmentsAndStaysRecoverable) {
   Sharded recovered(Opts(2));
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   ExpectDenseContents(recovered, 900);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, EnableAfterRecoverResumesLoggingCleanly) {
   // The documented restart lifecycle: LoadFrom + EnableWal + more writes
   // + a second crash must recover everything.
   const std::string prefix = TempPrefix("recover-resume");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(2));
     ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kAlways)),
@@ -325,7 +313,7 @@ TEST(WalRecoveryTest, EnableAfterRecoverResumesLoggingCleanly) {
   Sharded recovered(Opts(2));
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   ExpectDenseContents(recovered, 500);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, PlainSaveAfterRecoverySweepsReplayedSegments) {
@@ -334,7 +322,7 @@ TEST(WalRecoveryTest, PlainSaveAfterRecoverySweepsReplayedSegments) {
   // it, or the next load would replay them from LSN 0 over the newer
   // snapshot (resurrecting erased keys).
   const std::string prefix = TempPrefix("recover-plainsave");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(2));
     ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kAlways)),
@@ -353,12 +341,12 @@ TEST(WalRecoveryTest, PlainSaveAfterRecoverySweepsReplayedSegments) {
   Sharded loaded(Opts(2));
   ASSERT_EQ(loaded.LoadFrom(prefix), SnapshotStatus::kOk);
   ExpectDenseContents(loaded, 299);  // the erase survived; no stale replay
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, BulkLoadWhileLoggingAutoCheckpoints) {
   const std::string prefix = TempPrefix("recover-bulk");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(2));
     ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kBatch)),
@@ -381,14 +369,14 @@ TEST(WalRecoveryTest, BulkLoadWhileLoggingAutoCheckpoints) {
   ExpectDenseContents(recovered, 2100);
   int64_t v = 0;
   EXPECT_FALSE(recovered.Get(123456789, &v));
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, RecoveryFromLogsAloneWithoutManifest) {
   // A by-hand lineage with no snapshot at all: LoadFrom must recover
   // from an empty state plus the logs.
   const std::string prefix = TempPrefix("recover-nomanifest");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     wal::ShardLog<int64_t, int64_t> log(prefix, 1, 0, 1, 0,
                                         Wal(SyncPolicy::kNone));
@@ -402,7 +390,7 @@ TEST(WalRecoveryTest, RecoveryFromLogsAloneWithoutManifest) {
   Sharded recovered(Opts(2));
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   ExpectDenseContents(recovered, 50);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 // ---- Boundary-preserving recovery ----
@@ -413,7 +401,7 @@ TEST(WalRecoveryTest, RecoveryPreservesShardBoundaries) {
   // out), with each shard replaying its own log tail — not a
   // repartition of a merged map.
   const std::string prefix = TempPrefix("recover-boundaries");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   std::vector<int64_t> bounds_at_checkpoint;
   constexpr int64_t kN = 6000, kM = 900;
   {
@@ -461,7 +449,7 @@ TEST(WalRecoveryTest, RecoveryPreservesShardBoundaries) {
   EXPECT_EQ(report.shards[2].records_replayed, 0u);
   EXPECT_EQ(report.shards[3].records_replayed,
             static_cast<size_t>(kM) + 2);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, MergeAndSplitInterleavingLineageReplay) {
@@ -470,7 +458,7 @@ TEST(WalRecoveryTest, MergeAndSplitInterleavingLineageReplay) {
   // record), and recovery must chain both kinds back to the manifest's
   // anchors — restoring the checkpoint topology with no key lost.
   const std::string prefix = TempPrefix("recover-interleave");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   std::vector<int64_t> bounds_at_checkpoint;
   uint64_t splits = 0, merges = 0;
   constexpr int64_t kN = 6000;
@@ -532,14 +520,14 @@ TEST(WalRecoveryTest, MergeAndSplitInterleavingLineageReplay) {
   // The epoch the checkpoint captured (0 — churn came after) survived;
   // post-crash the counter restarts from the manifest's value.
   EXPECT_EQ(recovered.topology_epoch(), 0u);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, PerShardReportNamesTheShardThatLostItsTail) {
   // Two shards, both with post-checkpoint writes; tear the tail of
   // shard 1's log. The per-shard report must flag exactly shard 1.
   const std::string prefix = TempPrefix("recover-pershard");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   {
     Sharded index(Opts(2));
     std::vector<int64_t> keys, payloads;
@@ -580,14 +568,14 @@ TEST(WalRecoveryTest, PerShardReportNamesTheShardThatLostItsTail) {
   EXPECT_TRUE(recovered.Get(-5, &v));
   EXPECT_TRUE(recovered.Get(100000, &v));
   EXPECT_FALSE(recovered.Get(100001, &v));  // the torn, unacked write
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, CommitWaitHistogramSurvivesTopologyChanges) {
   // Splits seal the victims' logs; their commit-wait samples must fold
   // into the aggregate instead of vanishing with the sealed logs.
   const std::string prefix = TempPrefix("recover-commitwait");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   ShardedOptions options = Opts(1);
   options.min_rebalance_keys = 256;
   options.max_shard_keys = 1024;
@@ -602,12 +590,12 @@ TEST(WalRecoveryTest, CommitWaitHistogramSurvivesTopologyChanges) {
   // One sample per acknowledged logged commit — sealed logs included.
   EXPECT_EQ(index.CommitWaitHistogram().total(),
             static_cast<uint64_t>(kN));
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, TopologyEpochSurvivesCheckpointAndRecovery) {
   const std::string prefix = TempPrefix("recover-epoch");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   uint64_t epoch = 0;
   {
     ShardedOptions options = Opts(1);
@@ -627,14 +615,14 @@ TEST(WalRecoveryTest, TopologyEpochSurvivesCheckpointAndRecovery) {
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   EXPECT_EQ(recovered.topology_epoch(), epoch);
   ExpectDenseContents(recovered, 6000);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, ConcurrentLoggedWritersRecoverCompletely) {
   // The TSan target: 4 writers race Insert through the group-committed
   // log; every acknowledged key must survive recovery.
   const std::string prefix = TempPrefix("recover-concurrent");
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
   constexpr int kThreads = 4;
   constexpr int64_t kPerThread = 500;
   {
@@ -656,7 +644,7 @@ TEST(WalRecoveryTest, ConcurrentLoggedWritersRecoverCompletely) {
   Sharded recovered(Opts(2));
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   ExpectDenseContents(recovered, kThreads * kPerThread);
-  Cleanup(prefix);
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, AllSyncPoliciesRoundTrip) {
@@ -664,7 +652,7 @@ TEST(WalRecoveryTest, AllSyncPoliciesRoundTrip) {
        {SyncPolicy::kNone, SyncPolicy::kBatch, SyncPolicy::kAlways}) {
     const std::string prefix =
         TempPrefix("recover-policy") + "-" + wal::ToString(policy);
-    Cleanup(prefix);
+    test_util::RemovePrefixFiles(prefix);
     {
       Sharded index(Opts(2));
       ASSERT_EQ(index.EnableWal(prefix, Wal(policy)), WalStatus::kOk);
@@ -676,7 +664,7 @@ TEST(WalRecoveryTest, AllSyncPoliciesRoundTrip) {
     ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk)
         << wal::ToString(policy);
     ExpectDenseContents(recovered, 400);
-    Cleanup(prefix);
+    test_util::RemovePrefixFiles(prefix);
   }
 }
 
