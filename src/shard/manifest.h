@@ -7,18 +7,18 @@
 // boundaries), and the per-shard key counts (so a load can detect a
 // segment that was swapped or rebuilt independently of its manifest).
 //
-// Layout (format v5): ManifestHeader, boundaries (num_shards-1 keys),
+// Layout (format v6): ManifestHeader, boundaries (num_shards-1 keys),
 // per-shard key counts (num_shards uint64s), per-shard WAL ids and
 // checkpoint LSNs (num_shards uint64s each; all zero when the WAL is
 // disabled), per-shard tier tags and segment ids (num_shards uint64s
 // each), the next segment id to allocate (one uint64), then a trailing
-// FNV-1a checksum over everything before it. Every shard with keys has a
+// CRC32C checksum over everything before it. Every shard with keys has a
 // `.seg-<id>` segment file, resident and cold alike; the tier tag (0 =
 // resident, 1 = cold) only says which form the shard is rebuilt in. A
 // shard with zero keys has no file and loads as an empty resident shard,
 // so a cold tag with zero keys is malformed. Manifests v3 and v4 pointed
-// resident shards at a second, per-shard snapshot format; they are
-// rejected with kBadVersion, never misloaded.
+// resident shards at a second, per-shard snapshot format, and v5 used an
+// FNV-1a checksum; all are rejected with kBadVersion, never misloaded.
 // The WAL fields make the manifest the checkpoint record: shard i's
 // segment captures exactly the effects of its log's records up to
 // checkpoint_lsns[i], so recovery replays only what came after — per
@@ -36,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -51,17 +52,14 @@ namespace internal {
 inline constexpr uint64_t kManifestMagic = 0x414C455853485244ULL;
 // Version 2 added the per-shard WAL ids and checkpoint LSNs; version 3
 // the topology epoch; version 4 the per-shard tier tags, segment ids and
-// next-segment-id watermark; version 5 made every shard's file a segment.
-// Only v5 is readable.
-inline constexpr uint32_t kManifestVersion = 5;
+// next-segment-id watermark; version 5 made every shard's file a segment;
+// version 6 replaced the FNV-1a checksum with CRC32C, keeping v5's layout.
+// Only v6 is readable.
+inline constexpr uint32_t kManifestVersion = 6;
 
 /// Tier tag values stored in ShardManifest::tier_tags.
 inline constexpr uint64_t kTierResident = 0;
 inline constexpr uint64_t kTierCold = 1;
-
-// The checksum primitive is shared with the segment and WAL checksums.
-using core::internal::Fnv1a;
-using core::internal::kFnvOffsetBasis;
 
 }  // namespace internal
 
@@ -84,6 +82,28 @@ struct ManifestHeader {
   double router_slope = 0.0;
   double router_intercept = 0.0;
 };
+
+namespace internal {
+
+/// CRC32C (core/serialization.h) over the header, the boundaries, the
+/// per-shard arrays and the next-segment-id watermark, in file order.
+template <typename K>
+uint32_t ManifestChecksum(
+    const ManifestHeader& header, const std::vector<K>& boundaries,
+    std::initializer_list<const std::vector<uint64_t>*> per_shard,
+    uint64_t next_segment_id) {
+  uint32_t crc = core::internal::Crc32c(&header, sizeof(header), 0);
+  crc = core::internal::Crc32c(boundaries.data(),
+                               boundaries.size() * sizeof(K), crc);
+  for (const std::vector<uint64_t>* array : per_shard) {
+    crc = core::internal::Crc32c(array->data(),
+                                 array->size() * sizeof(uint64_t), crc);
+  }
+  return core::internal::Crc32c(&next_segment_id, sizeof(next_segment_id),
+                                crc);
+}
+
+}  // namespace internal
 
 /// In-memory manifest contents.
 template <typename K>
@@ -152,26 +172,11 @@ core::SnapshotStatus WriteManifest(const std::string& path,
   tier_tags.resize(manifest.num_shards(), internal::kTierResident);
   segment_ids.resize(manifest.num_shards(), 0);
 
-  uint64_t checksum = internal::Fnv1a(&header, sizeof(header),
-                                      internal::kFnvOffsetBasis);
-  checksum = internal::Fnv1a(manifest.boundaries.data(),
-                             manifest.boundaries.size() * sizeof(K),
-                             checksum);
-  checksum = internal::Fnv1a(manifest.shard_keys.data(),
-                             manifest.shard_keys.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(wal_ids.data(),
-                             wal_ids.size() * sizeof(uint64_t), checksum);
-  checksum = internal::Fnv1a(checkpoint_lsns.data(),
-                             checkpoint_lsns.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(tier_tags.data(),
-                             tier_tags.size() * sizeof(uint64_t), checksum);
-  checksum = internal::Fnv1a(segment_ids.data(),
-                             segment_ids.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(&manifest.next_segment_id, sizeof(uint64_t),
-                             checksum);
+  const uint64_t checksum = internal::ManifestChecksum(
+      header, manifest.boundaries,
+      {&manifest.shard_keys, &wal_ids, &checkpoint_lsns, &tier_tags,
+       &segment_ids},
+      manifest.next_segment_id);
 
   bool ok = std::fwrite(&header, sizeof(header), 1, f) == 1;
   if (ok && !manifest.boundaries.empty()) {
@@ -300,26 +305,11 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   if (std::fread(&stored_checksum, sizeof(stored_checksum), 1, f) != 1) {
     return core::SnapshotStatus::kTruncated;
   }
-  uint64_t checksum = internal::Fnv1a(&header, sizeof(header),
-                                      internal::kFnvOffsetBasis);
-  checksum = internal::Fnv1a(out->boundaries.data(),
-                             out->boundaries.size() * sizeof(K), checksum);
-  checksum = internal::Fnv1a(out->shard_keys.data(),
-                             out->shard_keys.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->wal_ids.data(),
-                             out->wal_ids.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->checkpoint_lsns.data(),
-                             out->checkpoint_lsns.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->tier_tags.data(),
-                             out->tier_tags.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(out->segment_ids.data(),
-                             out->segment_ids.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(&next_segment_id, sizeof(uint64_t), checksum);
+  const uint32_t checksum = internal::ManifestChecksum(
+      header, out->boundaries,
+      {&out->shard_keys, &out->wal_ids, &out->checkpoint_lsns,
+       &out->tier_tags, &out->segment_ids},
+      next_segment_id);
   if (checksum != stored_checksum) {
     return core::SnapshotStatus::kChecksumMismatch;
   }

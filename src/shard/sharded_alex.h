@@ -78,7 +78,7 @@
 //   Durability.   SaveTo quiesces writers (all gates, in shard order)
 //     and writes every non-empty shard as one segment (tier/segment.h,
 //     the repo's only sorted-run format) plus a checksummed manifest
-//     (manifest.h v5) holding the boundaries, router model, per-shard key
+//     (manifest.h v6) holding the boundaries, router model, per-shard key
 //     counts, tier tags and wal lineage anchors; a cold shard whose
 //     segment is already durable at the prefix is referenced as-is. A
 //     shard with zero keys has no file. LoadFrom opens and audits every

@@ -18,18 +18,22 @@
 //     leave the LRU list and cannot be evicted, so a reader iterating a
 //     block is never racing the eviction memcpy. Release re-enters the
 //     entry at the LRU head.
+//   - Allocation-free hits: the LRU list is intrusive (two pointers in
+//     each entry), so a hit and its release only relink pointers.
 //
 // Capacity is in bytes, split evenly across shards; eviction pops
 // unpinned entries from each shard's LRU tail until that shard fits.
-// Stats are plain atomics (benches read them with obs disabled) and
-// mirror into the metrics registry (tier.cache_*).
+// Stats live in each (cache-line aligned) shard and are written only
+// under its mutex, as a relaxed load plus store, so no read path makes a
+// locked read-modify-write on a line another shard's readers use. The
+// accessors sum the shards without locking (benches read them with obs
+// disabled); the totals mirror into the metrics registry (tier.cache_*).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -106,7 +110,7 @@ class BlockCache {
       if (it == shard.map.end()) break;  // miss: this thread loads
       Entry* entry = it->second.get();
       if (entry->state == EntryState::kReady) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
+        Bump(shard.hits, 1);
         ALEX_OBS_COUNTER_INC("tier.cache_hits");
         Pin(shard, entry);
         return Handle(this, s, entry);
@@ -115,7 +119,7 @@ class BlockCache {
       // re-check (the load may have failed and erased the entry).
       shard.ready.wait(lock);
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    Bump(shard.misses, 1);
     ALEX_OBS_COUNTER_INC("tier.cache_misses");
     auto placeholder = std::make_unique<Entry>();
     placeholder->key = key;
@@ -135,16 +139,12 @@ class BlockCache {
     }
     entry->data = std::move(bytes);
     entry->state = EntryState::kReady;
-    shard.bytes += entry->data.size();
-    bytes_.fetch_add(entry->data.size(), std::memory_order_relaxed);
+    Bump(shard.bytes, entry->data.size());
     // Born pinned (never entered the LRU list, so no unlink here — Pin
     // is only for entries Release parked on the list).
     entry->refs = 1;
-    pinned_bytes_.fetch_add(entry->data.size(),
-                            std::memory_order_relaxed);
-    ALEX_OBS_GAUGE_SET("tier.cache_pinned_bytes",
-                       static_cast<double>(pinned_bytes_.load(
-                           std::memory_order_relaxed)));
+    Bump(shard.pinned_bytes, entry->data.size());
+    ALEX_OBS_GAUGE_SET("tier.cache_pinned_bytes", pinned_bytes());
     EvictLocked(shard);
     lock.unlock();
     shard.ready.notify_all();
@@ -162,10 +162,8 @@ class BlockCache {
         Entry* entry = it->second.get();
         if (SegmentOf(entry->key) == segment_id &&
             entry->state == EntryState::kReady && entry->refs == 0) {
-          shard.lru.erase(entry->lru_pos);
-          shard.bytes -= entry->data.size();
-          bytes_.fetch_sub(entry->data.size(),
-                           std::memory_order_relaxed);
+          Unlink(shard, entry);
+          Bump(shard.bytes, 0 - entry->data.size());
           it = shard.map.erase(it);
         } else {
           ++it;
@@ -175,17 +173,11 @@ class BlockCache {
   }
 
   size_t capacity_bytes() const { return shard_capacity_ * kNumShards; }
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  size_t pinned_bytes() const {
-    return pinned_bytes_.load(std::memory_order_relaxed);
-  }
+  uint64_t hits() const { return Sum(&CacheShard::hits); }
+  uint64_t misses() const { return Sum(&CacheShard::misses); }
+  uint64_t evictions() const { return Sum(&CacheShard::evictions); }
+  size_t bytes() const { return Sum(&CacheShard::bytes); }
+  size_t pinned_bytes() const { return Sum(&CacheShard::pinned_bytes); }
 
  private:
   static constexpr size_t kNumShards = 8;
@@ -197,15 +189,26 @@ class BlockCache {
     std::vector<uint8_t> data;
     EntryState state = EntryState::kLoading;
     uint32_t refs = 0;
-    std::list<Entry*>::iterator lru_pos;  // valid iff ready && refs == 0
+    // Intrusive LRU links; meaningful iff ready && refs == 0.
+    Entry* lru_prev = nullptr;
+    Entry* lru_next = nullptr;
   };
 
-  struct CacheShard {
+  // Aligned so one shard's lock and stats never share a line with
+  // another's.
+  struct alignas(64) CacheShard {
     std::mutex mutex;
     std::condition_variable ready;
     std::unordered_map<uint64_t, std::unique_ptr<Entry>> map;
-    std::list<Entry*> lru;  // front = most recent; unpinned entries only
-    size_t bytes = 0;
+    // Unpinned ready entries only; head = most recent, tail = victim.
+    Entry* lru_head = nullptr;
+    Entry* lru_tail = nullptr;
+    // Written under `mutex` (Bump), read lock-free by the accessors.
+    std::atomic<uint64_t> hits{0};
+    std::atomic<uint64_t> misses{0};
+    std::atomic<uint64_t> evictions{0};
+    std::atomic<size_t> bytes{0};
+    std::atomic<size_t> pinned_bytes{0};
   };
 
   // Segment ids are allocated sequentially and blocks are bounded by
@@ -221,15 +224,55 @@ class BlockCache {
            (kNumShards - 1);
   }
 
+  /// Adds `delta` (unsigned wrap for a decrement) to a shard stat. The
+  /// shard mutex orders every writer, so a plain load and store suffice.
+  template <typename T>
+  static void Bump(std::atomic<T>& stat,
+                   typename std::atomic<T>::value_type delta) {
+    stat.store(stat.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
+  }
+
+  template <typename T>
+  T Sum(std::atomic<T> CacheShard::*stat) const {
+    T total = 0;
+    for (const CacheShard& shard : shards_) {
+      total += (shard.*stat).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  static void PushFront(CacheShard& shard, Entry* entry) {
+    entry->lru_prev = nullptr;
+    entry->lru_next = shard.lru_head;
+    if (shard.lru_head != nullptr) {
+      shard.lru_head->lru_prev = entry;
+    } else {
+      shard.lru_tail = entry;
+    }
+    shard.lru_head = entry;
+  }
+
+  static void Unlink(CacheShard& shard, Entry* entry) {
+    if (entry->lru_prev != nullptr) {
+      entry->lru_prev->lru_next = entry->lru_next;
+    } else {
+      shard.lru_head = entry->lru_next;
+    }
+    if (entry->lru_next != nullptr) {
+      entry->lru_next->lru_prev = entry->lru_prev;
+    } else {
+      shard.lru_tail = entry->lru_prev;
+    }
+    entry->lru_prev = nullptr;
+    entry->lru_next = nullptr;
+  }
+
   void Pin(CacheShard& shard, Entry* entry) {
     if (entry->refs++ == 0 && entry->state == EntryState::kReady) {
-      shard.lru.erase(entry->lru_pos);
-      pinned_bytes_.fetch_add(entry->data.size(),
-                              std::memory_order_relaxed);
-      ALEX_OBS_GAUGE_SET(
-          "tier.cache_pinned_bytes",
-          static_cast<double>(
-              pinned_bytes_.load(std::memory_order_relaxed)));
+      Unlink(shard, entry);
+      Bump(shard.pinned_bytes, entry->data.size());
+      ALEX_OBS_GAUGE_SET("tier.cache_pinned_bytes", pinned_bytes());
     }
   }
 
@@ -237,14 +280,9 @@ class BlockCache {
     CacheShard& shard = shards_[s];
     std::unique_lock<std::mutex> lock(shard.mutex);
     if (--entry->refs == 0) {
-      pinned_bytes_.fetch_sub(entry->data.size(),
-                              std::memory_order_relaxed);
-      ALEX_OBS_GAUGE_SET(
-          "tier.cache_pinned_bytes",
-          static_cast<double>(
-              pinned_bytes_.load(std::memory_order_relaxed)));
-      shard.lru.push_front(entry);
-      entry->lru_pos = shard.lru.begin();
+      Bump(shard.pinned_bytes, 0 - entry->data.size());
+      ALEX_OBS_GAUGE_SET("tier.cache_pinned_bytes", pinned_bytes());
+      PushFront(shard, entry);
       EvictLocked(shard);
     }
   }
@@ -254,12 +292,12 @@ class BlockCache {
   /// evictable, so a fully-pinned shard may exceed its budget — by
   /// design: never invalidate bytes a reader holds.
   void EvictLocked(CacheShard& shard) {
-    while (shard.bytes > shard_capacity_ && !shard.lru.empty()) {
-      Entry* victim = shard.lru.back();
-      shard.lru.pop_back();
-      shard.bytes -= victim->data.size();
-      bytes_.fetch_sub(victim->data.size(), std::memory_order_relaxed);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+    while (shard.bytes.load(std::memory_order_relaxed) > shard_capacity_ &&
+           shard.lru_tail != nullptr) {
+      Entry* victim = shard.lru_tail;
+      Unlink(shard, victim);
+      Bump(shard.bytes, 0 - victim->data.size());
+      Bump(shard.evictions, 1);
       ALEX_OBS_COUNTER_INC("tier.cache_evictions");
       shard.map.erase(victim->key);
     }
@@ -267,11 +305,6 @@ class BlockCache {
 
   const size_t shard_capacity_;
   CacheShard shards_[kNumShards];
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<size_t> bytes_{0};
-  std::atomic<size_t> pinned_bytes_{0};
 };
 
 }  // namespace alex::tier

@@ -9,7 +9,7 @@
 // File layout (little-endian, fixed-width fields, no padding):
 //
 //   SegmentHeader                      88 bytes, self-checksummed
-//   block_checksums  u64[num_blocks]   FNV-1a of each block's raw bytes
+//   block_checksums  u64[num_blocks]   CRC32C of each block's raw bytes
 //   fence_keys       K[num_blocks]     first key of each block (sorted)
 //   blocks           block i = K[m_i] keys then P[m_i] payloads, where
 //                    m_i = keys_per_block except a short final block;
@@ -31,7 +31,7 @@
 // diverge in format, and recovery reads every shard back through Open +
 // VerifyAllBlocks.
 //
-// Integrity: every block carries its own FNV-1a checksum (verified on
+// Integrity: every block carries its own CRC32C checksum (verified on
 // every cache miss load and by VerifyAllBlocks at recovery), the metadata
 // arrays are covered by meta_checksum, and the header by header_checksum.
 // Any mismatch surfaces as core::SnapshotStatus::kSegmentCorrupt —
@@ -63,7 +63,8 @@ namespace internal {
 
 // "ALEXCSEG" in ASCII.
 inline constexpr uint64_t kSegmentMagic = 0x414C455843534547ULL;
-inline constexpr uint64_t kSegmentVersion = 1;
+// Version 2 replaced the FNV-1a checksums with CRC32C; only v2 is readable.
+inline constexpr uint64_t kSegmentVersion = 2;
 
 /// Unaligned typed load: block payloads start at keys_per_block * |K|,
 /// which is not a multiple of alignof(P) for every K/P pairing, and the
@@ -153,8 +154,7 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
     std::memcpy(block.data(), keys + lo, m * sizeof(K));
     std::memcpy(block.data() + m * sizeof(K), payloads + lo,
                 m * sizeof(P));
-    checksums[b] = core::internal::Fnv1a(block.data(), block.size(),
-                                         core::internal::kFnvOffsetBasis);
+    checksums[b] = core::internal::Crc32c(block.data(), block.size(), 0);
   }
   const model::LinearModel fence_model = fence_fit.Build();
 
@@ -166,14 +166,12 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
   header.num_blocks = num_blocks;
   header.fence_slope = fence_model.slope();
   header.fence_intercept = fence_model.intercept();
-  uint64_t meta = core::internal::Fnv1a(checksums.data(),
-                                        num_blocks * sizeof(uint64_t),
-                                        core::internal::kFnvOffsetBasis);
-  meta = core::internal::Fnv1a(fence.data(), num_blocks * sizeof(K), meta);
-  header.meta_checksum = meta;
-  header.header_checksum = core::internal::Fnv1a(
-      &header, sizeof(header) - sizeof(header.header_checksum),
-      core::internal::kFnvOffsetBasis);
+  header.meta_checksum = core::internal::Crc32c(
+      fence.data(), num_blocks * sizeof(K),
+      core::internal::Crc32c(checksums.data(),
+                             num_blocks * sizeof(uint64_t), 0));
+  header.header_checksum = core::internal::Crc32c(
+      &header, sizeof(header) - sizeof(header.header_checksum), 0);
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return core::SnapshotStatus::kIoError;
@@ -301,10 +299,9 @@ class ColdSegment {
     const size_t bytes = BlockBytes(b);
     out->resize(bytes);
     std::memcpy(out->data(), base_ + BlockOffset(b), bytes);
-    const uint64_t checksum = core::internal::Fnv1a(
-        out->data(), bytes, core::internal::kFnvOffsetBasis);
-    return checksum == checksums_[b] ? core::SnapshotStatus::kOk
-                                     : core::SnapshotStatus::kSegmentCorrupt;
+    return core::internal::Crc32c(out->data(), bytes, 0) == checksums_[b]
+               ? core::SnapshotStatus::kOk
+               : core::SnapshotStatus::kSegmentCorrupt;
   }
 
   /// Full-audit pass (recovery calls this before trusting a segment the
@@ -409,14 +406,16 @@ class ColdSegment {
     if (header.magic != internal::kSegmentMagic) {
       return core::SnapshotStatus::kBadMagic;
     }
-    const uint64_t header_checksum = core::internal::Fnv1a(
-        &header, sizeof(header) - sizeof(header.header_checksum),
-        core::internal::kFnvOffsetBasis);
-    if (header_checksum != header.header_checksum) {
-      return core::SnapshotStatus::kSegmentCorrupt;
-    }
+    // Version before checksum, as the WAL and manifest readers do: a
+    // file of another format version is kBadVersion even when that
+    // version checksummed its header differently.
     if (header.version != internal::kSegmentVersion) {
       return core::SnapshotStatus::kBadVersion;
+    }
+    if (core::internal::Crc32c(
+            &header, sizeof(header) - sizeof(header.header_checksum), 0) !=
+        header.header_checksum) {
+      return core::SnapshotStatus::kSegmentCorrupt;
     }
     if (header.key_size != sizeof(K)) {
       return core::SnapshotStatus::kKeySizeMismatch;
@@ -453,11 +452,10 @@ class ColdSegment {
     const uint8_t* checksum_bytes = base_ + sizeof(SegmentHeader);
     const uint8_t* fence_bytes =
         checksum_bytes + header.num_blocks * sizeof(uint64_t);
-    uint64_t meta = core::internal::Fnv1a(
-        checksum_bytes, header.num_blocks * sizeof(uint64_t),
-        core::internal::kFnvOffsetBasis);
-    meta = core::internal::Fnv1a(fence_bytes,
-                                 header.num_blocks * sizeof(K), meta);
+    const uint32_t meta = core::internal::Crc32c(
+        fence_bytes, header.num_blocks * sizeof(K),
+        core::internal::Crc32c(checksum_bytes,
+                               header.num_blocks * sizeof(uint64_t), 0));
     if (meta != header.meta_checksum) {
       return core::SnapshotStatus::kSegmentCorrupt;
     }

@@ -15,10 +15,10 @@
 // bound, so we fall back to unbounded exponential search from that edge.
 //
 // Dispatch:
-//   - compile time: AVX2 kernels are compiled only on x86-64 GCC/Clang and
-//     only when ALEX_DISABLE_SIMD is not defined (CMake -DALEX_DISABLE_SIMD=ON
-//     defines it). The kernels carry __attribute__((target("avx2"))) so the
-//     rest of the TU stays baseline-ISA.
+//   - compile time: AVX2 kernels are compiled only when ALEX_SIMD_X86
+//     (util/simd_isa.h: x86-64 GCC/Clang without ALEX_DISABLE_SIMD). The
+//     kernels carry __attribute__((target("avx2"))) so the rest of the TU
+//     stays baseline-ISA.
 //   - run time: __builtin_cpu_supports("avx2") gates the vector path, and
 //     setting the ALEX_FORCE_SCALAR_SEARCH environment variable (any value)
 //     forces the portable scalar path for A/B testing.
@@ -34,14 +34,7 @@
 
 #include "obs/metrics.h"
 #include "util/search.h"
-
-#if !defined(ALEX_DISABLE_SIMD) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ALEX_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define ALEX_SIMD_X86 0
-#endif
+#include "util/simd_isa.h"
 
 namespace alex::util {
 

@@ -5,7 +5,7 @@
 // wal id), its position in that log (a rotation sequence number and the
 // LSN the log had when the segment was opened), and the lineage link used
 // by recovery after a shard split (the parent wal id). After the header
-// come back-to-back records: a fixed header (FNV-1a checksum, LSN, type,
+// come back-to-back records: a fixed header (CRC32C checksum, LSN, type,
 // body length) followed by a type-determined body (key, and for
 // Insert/Update the payload). LSNs are per-shard and contiguous, so a
 // reader can detect any dropped or reordered record.
@@ -157,11 +157,9 @@ namespace internal {
 
 // "ALEXWALS" in ASCII.
 inline constexpr uint64_t kWalMagic = 0x414C455857414C53ULL;
-inline constexpr uint32_t kWalVersion = 1;
-
-// The checksum primitive is shared with the segment/manifest formats.
-using core::internal::Fnv1a;
-using core::internal::kFnvOffsetBasis;
+// Version 2 replaced the FNV-1a checksums with CRC32C; only v2 is
+// readable.
+inline constexpr uint32_t kWalVersion = 2;
 
 }  // namespace internal
 
@@ -179,11 +177,11 @@ struct WalSegmentHeader {
   uint64_t parent_wal_id = 0;  ///< sealed log this shard split from; 0 = root
   uint64_t seq = 0;            ///< rotation sequence within the wal id
   uint64_t start_lsn = 0;
-  uint64_t header_checksum = 0;  ///< FNV-1a over every field above
+  uint64_t header_checksum = 0;  ///< CRC32C over every field above
 };
 
 /// Fixed per-record header; the body (key, optional payload) follows.
-/// `checksum` is FNV-1a over (lsn, type, body_len, body bytes), so a torn
+/// `checksum` is CRC32C over (lsn, type, body_len, body bytes), so a torn
 /// or corrupted record cannot replay.
 struct WalRecordHeader {
   uint64_t checksum = 0;
@@ -213,18 +211,17 @@ constexpr size_t WalBodyLen(uint32_t type) {
 /// Checksum of one record given its header fields and body bytes.
 inline uint64_t WalRecordChecksum(const WalRecordHeader& header,
                                   const void* body) {
-  uint64_t sum = internal::Fnv1a(&header.lsn, sizeof(header.lsn),
-                                 internal::kFnvOffsetBasis);
-  sum = internal::Fnv1a(&header.type, sizeof(header.type), sum);
-  sum = internal::Fnv1a(&header.body_len, sizeof(header.body_len), sum);
-  return internal::Fnv1a(body, header.body_len, sum);
+  using core::internal::Crc32c;
+  uint32_t crc = Crc32c(&header.lsn, sizeof(header.lsn), 0);
+  crc = Crc32c(&header.type, sizeof(header.type), crc);
+  crc = Crc32c(&header.body_len, sizeof(header.body_len), crc);
+  return Crc32c(body, header.body_len, crc);
 }
 
 /// Checksum of a segment header (over every field before header_checksum).
 inline uint64_t WalHeaderChecksum(const WalSegmentHeader& header) {
-  return internal::Fnv1a(
-      &header, sizeof(WalSegmentHeader) - sizeof(uint64_t),
-      internal::kFnvOffsetBasis);
+  return core::internal::Crc32c(
+      &header, sizeof(WalSegmentHeader) - sizeof(uint64_t), 0);
 }
 
 /// Serializes one record (header + body) onto `out`.

@@ -1,6 +1,7 @@
 // Test helpers over the files a ShardedAlex keeps at a prefix: the
 // manifest, one segment per non-empty shard, the WAL segments, and the
-// .tmp files a crashed writer leaves beside them.
+// .tmp files a crashed writer leaves beside them; plus the checksum those
+// formats used before CRC32C, to build genuine old-version files.
 #pragma once
 
 #include <cstddef>
@@ -14,6 +15,21 @@
 #include "wal/wal_format.h"
 
 namespace alex::test_util {
+
+/// The 64-bit FNV-1a digest of segment v1, WAL v1 and manifests v3-v5,
+/// chainable like core::internal::Crc32c. Version tests seal old headers
+/// with it, so each reaches the reader exactly as such a file would.
+inline constexpr uint64_t kLegacyDigestSeed = 1469598103934665603ULL;
+
+inline uint64_t LegacyDigest(const void* data, size_t n,
+                             uint64_t hash = kLegacyDigestSeed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
 
 /// Removes every file of `prefix`: each directory entry named
 /// `<base>.<anything>`. Best effort, for test setup and teardown.

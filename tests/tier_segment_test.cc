@@ -4,8 +4,9 @@
 // distinct kSegmentCorrupt status), the full audit's key-order check
 // (kUnsortedKeys), segment file-name parsing for the
 // checkpoint sweep, raw-mapping Get/ScanUntil, and the sharded-LRU block
-// cache (hit/miss/eviction accounting, singleflight miss loading, pinned
-// entries surviving eviction pressure, EraseSegment).
+// cache (hit/miss/eviction accounting, exact under concurrent clients,
+// singleflight miss loading, pinned entries surviving eviction pressure,
+// EraseSegment).
 #include "tier/block_cache.h"
 #include "tier/segment.h"
 
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "prefix_test_util.h"
 
 namespace alex::tier {
 namespace {
@@ -279,23 +281,35 @@ TEST(TierSegment, StructuralRejections) {
 void ResealHeader(std::vector<uint8_t>* bytes) {
   SegmentHeader header;
   std::memcpy(&header, bytes->data(), sizeof(header));
-  header.header_checksum = core::internal::Fnv1a(
-      &header, sizeof(header) - sizeof(header.header_checksum),
-      core::internal::kFnvOffsetBasis);
+  header.header_checksum = core::internal::Crc32c(
+      &header, sizeof(header) - sizeof(header.header_checksum), 0);
   std::memcpy(bytes->data(), &header, sizeof(header));
 }
 
 TEST(TierSegment, WrongVersionIsDistinct) {
   const std::string path = TempPath("seg_version");
   ASSERT_EQ(WriteRun(path, MakeRun(300), 64), SnapshotStatus::kOk);
-  std::vector<uint8_t> bytes = ReadAll(path);
-  const uint64_t future = 999;
-  std::memcpy(bytes.data() + offsetof(SegmentHeader, version), &future,
-              sizeof(future));
-  ResealHeader(&bytes);
-  WriteAll(path, bytes);
+  const std::vector<uint8_t> current = ReadAll(path);
   Segment seg;
-  EXPECT_EQ(seg.Open(path, 1), SnapshotStatus::kBadVersion);
+  // A v1 segment, its header sealed with the v1 (FNV-1a) digest exactly
+  // as a v1 writer left it, and a future version sealed with CRC32C: both
+  // fail closed on the version, not on the checksum.
+  for (const uint64_t version : {uint64_t{1}, uint64_t{999}}) {
+    SCOPED_TRACE(version);
+    std::vector<uint8_t> bytes = current;
+    std::memcpy(bytes.data() + offsetof(SegmentHeader, version), &version,
+                sizeof(version));
+    if (version == 1) {
+      const uint64_t digest = test_util::LegacyDigest(
+          bytes.data(), offsetof(SegmentHeader, header_checksum));
+      std::memcpy(bytes.data() + offsetof(SegmentHeader, header_checksum),
+                  &digest, sizeof(digest));
+    } else {
+      ResealHeader(&bytes);
+    }
+    WriteAll(path, bytes);
+    EXPECT_EQ(seg.Open(path, 1), SnapshotStatus::kBadVersion);
+  }
   std::remove(path.c_str());
 }
 
@@ -507,6 +521,45 @@ TEST(BlockCache, SingleflightLoadsOnce) {
   EXPECT_EQ(loads.load(), 1u);
   EXPECT_EQ(valid.load(), kThreads);
   EXPECT_EQ(cache.hits() + cache.misses(), static_cast<uint64_t>(kThreads));
+}
+
+TEST(BlockCache, ConcurrentStatsStayExact) {
+  // 4 threads mix hits, misses and evictions on a 2 KB cache (one 256 B
+  // block per shard) while some hold a second handle. The per-shard stats
+  // are written without RMWs, so this checks that their sums stay exact.
+  BlockCache cache(2048);
+  CountingLoader loader;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kCallsPerThread = 4000;
+  std::atomic<uint64_t> bad{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t state = 0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(t + 1);
+      BlockCache::Handle held;
+      for (uint64_t i = 0; i < kCallsPerThread; ++i) {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        // Mostly a hot set of 4 blocks, sometimes one of 64 cold ones.
+        const uint64_t block = (state >> 60) < 12 ? (state >> 40) % 4
+                                                   : 4 + (state >> 40) % 64;
+        BlockCache::Handle h = cache.GetOrLoad(1, block, loader.For(1, block));
+        if (!h.valid() || h.size() != 256u ||
+            h.data()[0] != static_cast<uint8_t>(31 + block)) {
+          bad.fetch_add(1);
+        }
+        if (i % 8 == 0) held = std::move(h);  // pin across later calls
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kCallsPerThread);
+  EXPECT_EQ(cache.misses(), loader.calls.load());  // one load per miss
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_EQ(cache.pinned_bytes(), 0u);
+  EXPECT_LE(cache.bytes(), 2048u);
 }
 
 TEST(BlockCache, SegmentLoaderIntegration) {

@@ -3,7 +3,7 @@
 // mixed hot/cold topology, overlay write semantics (tombstones,
 // revival), the demote/promote/compact lifecycle, checkpoint + recovery
 // with tier preservation, zero-key shards that checkpoint without a
-// file, the manifest v5 round-trip and the rejection of v3/v4 manifests,
+// file, the manifest v6 round-trip and the rejection of v3-v5 manifests,
 // crash-injection stray-segment sweeping, the
 // compaction-shrinks-replay acceptance criterion, the traffic-driven
 // tiering policy, and a TSan target reading cold shards during
@@ -542,19 +542,18 @@ void WriteV3Manifest(const std::string& path,
   wal_ids.resize(manifest.num_shards(), 0);
   checkpoint_lsns.resize(manifest.num_shards(), 0);
 
-  uint64_t checksum = internal::Fnv1a(&header, sizeof(header),
-                                      core::internal::kFnvOffsetBasis);
-  checksum = internal::Fnv1a(manifest.boundaries.data(),
-                             manifest.boundaries.size() * sizeof(int64_t),
-                             checksum);
-  checksum = internal::Fnv1a(manifest.shard_keys.data(),
-                             manifest.shard_keys.size() * sizeof(uint64_t),
-                             checksum);
-  checksum = internal::Fnv1a(wal_ids.data(),
-                             wal_ids.size() * sizeof(uint64_t), checksum);
-  checksum = internal::Fnv1a(checkpoint_lsns.data(),
-                             checkpoint_lsns.size() * sizeof(uint64_t),
-                             checksum);
+  uint64_t checksum = test_util::LegacyDigest(&header, sizeof(header));
+  checksum = test_util::LegacyDigest(
+      manifest.boundaries.data(),
+      manifest.boundaries.size() * sizeof(int64_t), checksum);
+  checksum = test_util::LegacyDigest(
+      manifest.shard_keys.data(),
+      manifest.shard_keys.size() * sizeof(uint64_t), checksum);
+  checksum = test_util::LegacyDigest(
+      wal_ids.data(), wal_ids.size() * sizeof(uint64_t), checksum);
+  checksum = test_util::LegacyDigest(
+      checkpoint_lsns.data(), checkpoint_lsns.size() * sizeof(uint64_t),
+      checksum);
 
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -577,7 +576,7 @@ void WriteV3Manifest(const std::string& path,
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
+TEST(TieredAlexTest, ManifestV6RoundTripsTierState) {
   ShardManifest<int64_t> manifest;
   manifest.boundaries = {1000, 2000};
   manifest.shard_keys = {400, 600, 0};
@@ -588,7 +587,7 @@ TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
   manifest.segment_ids = {8, 9, 0};
   manifest.next_segment_id = 10;
   manifest.generation = 2;
-  const std::string path = TempPrefix("tier-manifest-v5") + ".manifest";
+  const std::string path = TempPrefix("tier-manifest-v6") + ".manifest";
   ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
 
   ShardManifest<int64_t> loaded;
@@ -617,10 +616,11 @@ TEST(TieredAlexTest, ManifestV5RoundTripsTierState) {
   std::remove(path.c_str());
 }
 
-/// Rewrites the v5 manifest at `path` as a well-formed v4 one: the v4
-/// layout is v5's, only the version and with it the checksum differ (v4
-/// pointed resident shards at per-shard snapshot files).
-void RewriteAsV4Manifest(const std::string& path) {
+/// Rewrites the current manifest at `path` as a well-formed one of
+/// `version` 4 or 5: both share the current layout and sealed it with the
+/// pre-CRC32C digest (v4 pointed resident shards at per-shard snapshot
+/// files; v5 differs from v6 only in the checksum).
+void RewriteAsOldManifest(const std::string& path, uint32_t version) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::vector<unsigned char> bytes;
@@ -629,12 +629,10 @@ void RewriteAsV4Manifest(const std::string& path) {
   }
   std::fclose(f);
   ASSERT_GT(bytes.size(), sizeof(ManifestHeader) + sizeof(uint64_t));
-  const uint32_t v4 = 4;
-  std::memcpy(bytes.data() + offsetof(ManifestHeader, version), &v4,
-              sizeof(v4));
+  std::memcpy(bytes.data() + offsetof(ManifestHeader, version), &version,
+              sizeof(version));
   const size_t body = bytes.size() - sizeof(uint64_t);
-  const uint64_t checksum = internal::Fnv1a(bytes.data(), body,
-                                            internal::kFnvOffsetBasis);
+  const uint64_t checksum = test_util::LegacyDigest(bytes.data(), body);
   std::memcpy(bytes.data() + body, &checksum, sizeof(checksum));
   f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -642,8 +640,8 @@ void RewriteAsV4Manifest(const std::string& path) {
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-TEST(TieredAlexTest, V3AndV4ManifestsAreRejected) {
-  // Unit level: both older layouts fail closed on the version.
+TEST(TieredAlexTest, OldManifestVersionsAreRejected) {
+  // Unit level: every older format fails closed on the version.
   ShardManifest<int64_t> manifest;
   manifest.boundaries = {500};
   manifest.shard_keys = {2, 2};
@@ -651,9 +649,13 @@ TEST(TieredAlexTest, V3AndV4ManifestsAreRejected) {
   WriteV3Manifest(path, manifest);
   ShardManifest<int64_t> loaded;
   EXPECT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kBadVersion);
-  ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
-  RewriteAsV4Manifest(path);
-  EXPECT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kBadVersion);
+  for (const uint32_t version : {4u, 5u}) {
+    SCOPED_TRACE(version);
+    ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
+    RewriteAsOldManifest(path, version);
+    EXPECT_EQ(ReadManifest<int64_t>(path, &loaded),
+              SnapshotStatus::kBadVersion);
+  }
   std::remove(path.c_str());
 
   // Full stack: rewrite a fresh checkpoint's manifest in each older
@@ -665,14 +667,14 @@ TEST(TieredAlexTest, V3AndV4ManifestsAreRejected) {
   ShardManifest<int64_t> saved;
   ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &saved),
             SnapshotStatus::kOk);
-  for (const int version : {3, 4}) {
+  for (const uint32_t version : {3u, 4u, 5u}) {
     SCOPED_TRACE(version);
     if (version == 3) {
       WriteV3Manifest(Sharded::ManifestPath(prefix), saved);
     } else {
       ASSERT_EQ(WriteManifest(Sharded::ManifestPath(prefix), saved),
                 SnapshotStatus::kOk);
-      RewriteAsV4Manifest(Sharded::ManifestPath(prefix));
+      RewriteAsOldManifest(Sharded::ManifestPath(prefix), version);
     }
     Sharded loaded_index(TierOpts(2, prefix));
     ASSERT_TRUE(loaded_index.Insert(1, 1));

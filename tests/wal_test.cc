@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/serialization.h"
+#include "prefix_test_util.h"
 #include "util/histogram.h"
 
 namespace alex::wal {
@@ -368,14 +369,20 @@ TEST(WalReaderTest, HeaderCorruptionsHaveDistinctStatuses) {
               WalStatus::kBadMagic);
     std::remove(p.c_str());
   }
-  {  // version (checksum recomputed so only the version is wrong)
+  // Version: a v1 header sealed with the v1 (FNV-1a) digest, as a v1
+  // writer left it, and a future version sealed with CRC32C.
+  for (const uint32_t version : {1u, internal::kWalVersion + 1}) {
+    SCOPED_TRACE(version);
     std::string p = path + ".ver";
     WalSegmentHeader h;
     std::FILE* src = std::fopen(path.c_str(), "rb");
     ASSERT_EQ(std::fread(&h, sizeof(h), 1, src), 1u);
     std::fclose(src);
-    h.version += 1;
-    h.header_checksum = WalHeaderChecksum(h);
+    h.version = version;
+    h.header_checksum =
+        version == 1 ? test_util::LegacyDigest(
+                           &h, sizeof(h) - sizeof(h.header_checksum))
+                     : WalHeaderChecksum(h);
     std::FILE* f = std::fopen(p.c_str(), "wb");
     std::fwrite(&h, sizeof(h), 1, f);
     std::fclose(f);
