@@ -1,36 +1,34 @@
-// Health watchdog: a sampler thread, a metrics time-series ring, and
-// rule-based detectors that turn raw telemetry into verdicts.
+// Health watchdog: a sampler thread, a metrics time-series ring, and a
+// table of rules that turn raw telemetry into verdicts.
 //
-// PR 8's metrics layer can tell an operator *what* the numbers are; it
-// cannot notice that epoch reclamation has silently stalled, that WAL
-// group commit has regressed 10x, or that the router has drifted into
-// binary-search fallback. This header closes that loop:
+// The metrics layer (obs/metrics.h) can tell an operator *what* the
+// numbers are; it cannot notice that epoch reclamation has silently
+// stalled, that WAL group commit has regressed 10x, or that the router has
+// drifted into binary-search fallback. This header closes that loop:
 //
 //   - SampledMetrics is one fixed-shape snapshot of the health-relevant
 //     registry state (epoch counters, WAL commit-wait histogram buckets,
 //     write-gate waits, router hit/fallback counts, per-shard op counts,
-//     slow-op ring capture count).
-//   - SampleRing publishes snapshots through the same seqlock idiom as
-//     SlowOpRing, generalized to a word-array payload: the writer marks
-//     the slot odd, stores sizeof(SampledMetrics)/8 relaxed words, and
-//     marks it even; readers copy and re-check. Readers never block the
-//     sampler and never observe a torn snapshot.
-//   - Detectors evaluate over *deltas* between consecutive samples (the
+//     slow-op capture count).
+//   - The monitor keeps the newest samples in a SeqlockRing
+//     (obs/seqlock_ring.h): readers never block the sampler and never
+//     observe a torn snapshot.
+//   - kHealthRules has one row per detector: the metric it names, an
+//     observe function over the *deltas* between consecutive samples (the
 //     incremental-evaluation idiom from modular Datalog materialisation:
 //     never re-derive from absolute counters what the previous sample
-//     already paid for). Each produces a HealthVerdict (level, offending
-//     metric, observed vs threshold); the merged HealthReport's level is
-//     the max across detectors.
+//     already paid for), and its warn/critical thresholds. One classifier
+//     judges every row into a HealthVerdict (level, offending metric,
+//     observed vs threshold); the merged HealthReport's level is the max
+//     across detectors.
+//   - The two baseline rows (WAL commit-wait p99, cold-tier miss ratio)
+//     scale their thresholds by an EWMA baseline of past windows. The
+//     baseline only absorbs windows judged healthy — a sustained
+//     regression keeps firing instead of teaching the baseline that slow
+//     is normal.
 //   - Every per-detector level change appends one kHealthTransition event
 //     to the journal (obs/journal.h), so "when did this start" has an
 //     answer with a timestamp and the neighbouring structural events.
-//
-// The WAL commit-wait detector is the only stateful one beyond last-sample
-// deltas: it maintains an EWMA baseline of the *windowed* p99 (computed by
-// folding per-sample bucket-count deltas back into a Log2Histogram) and
-// fires on regression relative to that baseline. The baseline only
-// absorbs windows judged healthy — a sustained regression keeps firing
-// instead of teaching the baseline that slow is normal.
 //
 // Threading: one mutex serializes EvaluateSample (sampler thread, manual
 // SampleNow, and synthetic-injection tests); the ring and report are
@@ -47,7 +45,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -55,6 +52,7 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
+#include "obs/seqlock_ring.h"
 #include "util/histogram.h"
 
 namespace alex::obs {
@@ -63,9 +61,9 @@ namespace alex::obs {
 // The time-series sample.
 
 /// One snapshot of the health-relevant registry state. Trivially copyable
-/// and 8-byte-word-shaped by construction so SampleRing can publish it as
-/// an array of relaxed atomic words.
+/// and 8-byte-word-shaped by construction so a SeqlockRing can publish it.
 struct SampledMetrics {
+  uint64_t ticket = 0;  // stamped by the monitor's ring
   uint64_t ts_ns = 0;
 
   // Epoch-based reclamation.
@@ -93,7 +91,7 @@ struct SampledMetrics {
   uint64_t router_hits = 0;
   uint64_t router_fallbacks = 0;
 
-  // Slow-op ring + shard shape.
+  // Slow-op trace + shard shape.
   uint64_t slow_ops_captured = 0;
   int64_t size_skew_x100 = 0;  // gauge, largest/mean * 100
 
@@ -105,80 +103,6 @@ struct SampledMetrics {
   // Cold-tier block cache (tier/block_cache.h).
   uint64_t tier_cache_hits = 0;
   uint64_t tier_cache_misses = 0;
-};
-
-static_assert(std::is_trivially_copyable<SampledMetrics>::value,
-              "SampleRing publishes SampledMetrics as raw words");
-static_assert(sizeof(SampledMetrics) % sizeof(uint64_t) == 0,
-              "SampledMetrics must be a whole number of 64-bit words");
-
-/// Fixed-size time-series ring for SampledMetrics: the SlowOpRing seqlock
-/// protocol generalized to a word-array payload. Single writer (the
-/// monitor serializes Push under its mutex); any number of lock-free
-/// readers.
-class SampleRing {
- public:
-  static constexpr size_t kCapacity = 64;  // power of two
-  static constexpr size_t kWords = sizeof(SampledMetrics) / sizeof(uint64_t);
-
-  /// Total samples ever pushed (the ring keeps the newest kCapacity).
-  uint64_t pushed() const { return next_.load(std::memory_order_relaxed); }
-
-  void Push(const SampledMetrics& sample) {
-    uint64_t words[kWords];
-    std::memcpy(words, &sample, sizeof(sample));
-    const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & (kCapacity - 1)];
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    for (size_t w = 0; w < kWords; ++w) {
-      s.words[w].store(words[w], std::memory_order_relaxed);
-    }
-    s.seq.store(2 * ticket + 2, std::memory_order_release);
-  }
-
-  /// Stable samples, oldest first.
-  std::vector<SampledMetrics> Snapshot() const {
-    struct Keyed {
-      uint64_t ticket;
-      SampledMetrics sample;
-    };
-    std::vector<Keyed> keyed;
-    keyed.reserve(kCapacity);
-    for (const Slot& s : slots_) {
-      const uint64_t seq = s.seq.load(std::memory_order_acquire);
-      if (seq == 0 || (seq & 1) != 0) continue;  // empty or being written
-      uint64_t words[kWords];
-      for (size_t w = 0; w < kWords; ++w) {
-        words[w] = s.words[w].load(std::memory_order_relaxed);
-      }
-      if (s.seq.load(std::memory_order_acquire) != seq) continue;  // reused
-      Keyed k;
-      k.ticket = seq / 2 - 1;
-      std::memcpy(&k.sample, words, sizeof(k.sample));
-      keyed.push_back(k);
-    }
-    std::sort(keyed.begin(), keyed.end(),
-              [](const Keyed& a, const Keyed& b) { return a.ticket < b.ticket; });
-    std::vector<SampledMetrics> out;
-    out.reserve(keyed.size());
-    for (const Keyed& k : keyed) out.push_back(k.sample);
-    return out;
-  }
-
-  /// Test-only; must not race Push().
-  void Reset() {
-    next_.store(0, std::memory_order_relaxed);
-    for (Slot& s : slots_) s.seq.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
-
-  std::atomic<uint64_t> next_{0};
-  std::array<Slot, kCapacity> slots_{};
 };
 
 // ---------------------------------------------------------------------------
@@ -266,84 +190,202 @@ struct HealthReport {
 };
 
 // ---------------------------------------------------------------------------
-// Options.
+// The rule table.
 
-/// Detector thresholds and sampler cadence. Defaults are deliberately
-/// conservative multiples of healthy steady-state behaviour; every field
-/// is plain data so tests can drive rules across their edges directly.
-struct HealthOptions {
-  /// Sampler cadence. ALEX_OBS_SAMPLE_MS overrides via FromEnv().
-  uint64_t sample_interval_ms = 100;
-
-  // kEpochStall: fires only when a window saw reclamation *attempts* stall
-  // with zero successful advances while a backlog exists.
-  uint64_t epoch_stall_warn = 4;
-  uint64_t epoch_stall_critical = 16;
-
-  // kRetiredGrowth: absolute retired-but-unreclaimed backlog.
-  int64_t retired_warn = 4096;
-  int64_t retired_critical = 65536;
-
-  // kWalCommitWait: windowed p99 vs EWMA baseline. The floor keeps noise
-  // in sub-100us commit waits from ever firing the rule.
-  double wal_p99_warn_factor = 4.0;
-  double wal_p99_critical_factor = 16.0;
-  uint64_t wal_p99_floor_ns = 100'000;
-  uint64_t wal_min_window_commits = 16;
-  double wal_baseline_alpha = 0.25;  // EWMA weight of the newest Ok window
-
-  // kWriteGateWait: mean wait of *contended* gate acquisitions.
-  uint64_t gate_wait_warn_ns = 1'000'000;
-  uint64_t gate_wait_critical_ns = 10'000'000;
-  uint64_t gate_min_contended = 4;
-
-  // kRouterFallback: fallback fraction of routed lookups.
-  double fallback_warn_rate = 0.25;
-  double fallback_critical_rate = 0.75;
-  uint64_t fallback_min_routes = 64;
-
-  // kShardSkew: size skew from the gauge (largest/mean x100, matching the
-  // rebalancer's trigger shape) and traffic skew from per-shard op deltas.
-  int64_t skew_warn_x100 = 400;
-  int64_t skew_critical_x100 = 1600;
-  uint64_t traffic_min_window_ops = 256;
-
-  // kSlowOpBurst: ring captures per window.
-  uint64_t slow_op_warn = 16;
-  uint64_t slow_op_critical = 64;
-
-  // kTierCacheMiss: windowed cold-tier miss ratio vs EWMA baseline (the
-  // kWalCommitWait shape applied to a rate instead of a latency). The
-  // floor keeps a cold cache's first touches from firing the rule.
-  double tier_miss_warn_factor = 4.0;
-  double tier_miss_critical_factor = 16.0;
-  double tier_miss_floor = 0.02;
-  uint64_t tier_min_window_lookups = 64;
-  double tier_baseline_alpha = 0.25;
-
-  static HealthOptions FromEnv() {
-    HealthOptions opt;
-    opt.sample_interval_ms =
-        std::max<uint64_t>(1, EnvOverrideU64("ALEX_OBS_SAMPLE_MS",
-                                             opt.sample_interval_ms));
-    return opt;
-  }
+/// What one rule saw in one window. `judged` is false when the window is
+/// too small to judge (the verdict is then Ok); `metric`, when set, names
+/// the metric that was judged instead of the rule's own.
+struct Observation {
+  bool judged = false;
+  double value = 0.0;
+  const char* metric = nullptr;
 };
+
+/// The optional EWMA-baseline part of a rule: warn and critical are then
+/// factors over the baseline, never below `floor`. `alpha` is the weight
+/// of the newest Ok window; 0 means fixed thresholds.
+struct EwmaBaseline {
+  double floor = 0.0;
+  double alpha = 0.0;
+};
+
+/// One detector: the metric a verdict names (the first sample's too), how
+/// to observe a window, and where it warns and goes critical.
+struct HealthRule {
+  HealthDetector detector;
+  const char* metric;
+  Observation (*observe)(const SampledMetrics& prev,
+                         const SampledMetrics& cur);
+  double warn;
+  double critical;
+  EwmaBaseline baseline{};
+};
+
+namespace internal {
+
+inline uint64_t Delta(uint64_t cur, uint64_t prev) {
+  return cur >= prev ? cur - prev : 0;  // tolerate test-only resets
+}
+
+// Stalls only matter when nothing advanced and a backlog exists: a window
+// with both stalls and advances is ordinary contention.
+inline Observation ObserveEpochStall(const SampledMetrics& prev,
+                                     const SampledMetrics& cur) {
+  return {Delta(cur.epoch_advances, prev.epoch_advances) == 0 &&
+              cur.epoch_retired_unreclaimed > 0,
+          static_cast<double>(
+              Delta(cur.epoch_advance_stalls, prev.epoch_advance_stalls))};
+}
+
+inline Observation ObserveRetiredBacklog(const SampledMetrics&,
+                                         const SampledMetrics& cur) {
+  return {true, static_cast<double>(cur.epoch_retired_unreclaimed)};
+}
+
+// The window's commit-wait p99, rebuilt from bucket deltas (>= 16
+// commits). The cumulative max is the only max available; Quantile clamps
+// against it, which can only under-report the windowed p99, never inflate.
+inline Observation ObserveWalCommitP99(const SampledMetrics& prev,
+                                       const SampledMetrics& cur) {
+  if (Delta(cur.wal_commit_count, prev.wal_commit_count) < 16) return {};
+  uint64_t bucket_delta[util::Log2Histogram::kNumBuckets];
+  for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
+    bucket_delta[b] =
+        Delta(cur.wal_commit_buckets[b], prev.wal_commit_buckets[b]);
+  }
+  util::Log2Histogram window;
+  window.AddFolded(bucket_delta, util::Log2Histogram::kNumBuckets,
+                   Delta(cur.wal_commit_sum_ns, prev.wal_commit_sum_ns),
+                   cur.wal_commit_max_ns);
+  return {true, static_cast<double>(window.Quantile(0.99))};
+}
+
+// Mean wait of contended write-gate acquisitions (>= 4 contended).
+inline Observation ObserveGateWait(const SampledMetrics& prev,
+                                   const SampledMetrics& cur) {
+  const uint64_t waits = Delta(cur.gate_wait_count, prev.gate_wait_count);
+  if (Delta(cur.gate_contended, prev.gate_contended) < 4 || waits == 0) {
+    return {};
+  }
+  return {true,
+          static_cast<double>(
+              Delta(cur.gate_wait_sum_ns, prev.gate_wait_sum_ns)) /
+              static_cast<double>(waits)};
+}
+
+// Fallback fraction of routed lookups (>= 64 routes).
+inline Observation ObserveRouterFallback(const SampledMetrics& prev,
+                                         const SampledMetrics& cur) {
+  const uint64_t fallbacks =
+      Delta(cur.router_fallbacks, prev.router_fallbacks);
+  const uint64_t routes = Delta(cur.router_hits, prev.router_hits) + fallbacks;
+  if (routes < 64) return {};
+  return {true,
+          static_cast<double>(fallbacks) / static_cast<double>(routes)};
+}
+
+// The worse of size skew (the rebalancer's own largest/mean x100 gauge)
+// and traffic skew: per-shard op deltas over a window of >= 256 ops on
+// >= 2 shards, the overflow slot excluded (it mixes cross-shard ops from
+// every shard). Traffic skew names its own metric.
+inline Observation ObserveShardSkew(const SampledMetrics& prev,
+                                    const SampledMetrics& cur) {
+  Observation seen{true, static_cast<double>(cur.size_skew_x100)};
+  uint64_t window_ops = 0, max_ops = 0;
+  size_t active = 0;
+  for (size_t slot = 0; slot < MetricsRegistry::kMaxTrackedShards; ++slot) {
+    const uint64_t d = Delta(cur.shard_ops[slot], prev.shard_ops[slot]);
+    if (d > 0) {
+      ++active;
+      window_ops += d;
+      max_ops = std::max(max_ops, d);
+    }
+  }
+  if (active >= 2 && window_ops >= 256) {
+    const double mean =
+        static_cast<double>(window_ops) / static_cast<double>(active);
+    const int64_t traffic_x100 =
+        static_cast<int64_t>(100.0 * static_cast<double>(max_ops) / mean);
+    if (traffic_x100 > cur.size_skew_x100) {
+      seen.value = static_cast<double>(traffic_x100);
+      seen.metric = "op.shard_traffic_skew_x100";
+    }
+  }
+  return seen;
+}
+
+inline Observation ObserveSlowOpBurst(const SampledMetrics& prev,
+                                      const SampledMetrics& cur) {
+  return {true, static_cast<double>(
+                    Delta(cur.slow_ops_captured, prev.slow_ops_captured))};
+}
+
+// Cold-tier block-cache miss ratio (>= 64 lookups).
+inline Observation ObserveTierMissRatio(const SampledMetrics& prev,
+                                        const SampledMetrics& cur) {
+  const uint64_t misses =
+      Delta(cur.tier_cache_misses, prev.tier_cache_misses);
+  const uint64_t lookups =
+      Delta(cur.tier_cache_hits, prev.tier_cache_hits) + misses;
+  if (lookups < 64) return {};
+  return {true, static_cast<double>(misses) / static_cast<double>(lookups)};
+}
+
+}  // namespace internal
+
+/// The watchdog's rules, one row per detector in HealthDetector order. The
+/// README's watchdog table documents the same constants. The baseline
+/// floors keep noise in sub-100us commit waits, and a cold cache's first
+/// touches, from ever firing their rules.
+inline constexpr HealthRule kHealthRules[kNumHealthDetectors] = {
+    {HealthDetector::kEpochStall, "epoch.advance_stalls",
+     internal::ObserveEpochStall, 4, 16},
+    {HealthDetector::kRetiredGrowth, "epoch.retired_unreclaimed",
+     internal::ObserveRetiredBacklog, 4096, 65536},
+    {HealthDetector::kWalCommitWait, "wal.commit_wait_ns",
+     internal::ObserveWalCommitP99, 4, 16,
+     {/*floor=*/100'000, /*alpha=*/0.25}},
+    {HealthDetector::kWriteGateWait, "shard.write_gate_wait_ns",
+     internal::ObserveGateWait, 1'000'000, 10'000'000},
+    {HealthDetector::kRouterFallback, "shard.router_fallbacks",
+     internal::ObserveRouterFallback, 0.25, 0.75},
+    {HealthDetector::kShardSkew, "shard.size_skew_x100",
+     internal::ObserveShardSkew, 400, 1600},
+    {HealthDetector::kSlowOpBurst, "slow_ops.captured",
+     internal::ObserveSlowOpBurst, 16, 64},
+    {HealthDetector::kTierCacheMiss, "tier.cache_misses",
+     internal::ObserveTierMissRatio, 4, 16,
+     {/*floor=*/0.02, /*alpha=*/0.25}},
+};
+
+static_assert(
+    [] {
+      for (size_t i = 0; i < kNumHealthDetectors; ++i) {
+        if (static_cast<size_t>(kHealthRules[i].detector) != i) return false;
+      }
+      return true;
+    }(),
+    "kHealthRules rows must follow HealthDetector order");
 
 // ---------------------------------------------------------------------------
 // The monitor.
 
 class HealthMonitor {
  public:
+  static constexpr uint64_t kDefaultIntervalMs = 100;
+  static constexpr size_t kSampleCapacity = 64;  // newest samples kept
+
   /// The process-wide monitor, deliberately leaked like the registry.
   static HealthMonitor& Global() {
-    static HealthMonitor* global = new HealthMonitor(HealthOptions::FromEnv());
+    static HealthMonitor* global = new HealthMonitor();
     return *global;
   }
 
-  explicit HealthMonitor(HealthOptions options = HealthOptions::FromEnv())
-      : options_(options),
-        interval_ms_(options.sample_interval_ms),
+  /// Samples every kDefaultIntervalMs unless the ALEX_OBS_SAMPLE_MS
+  /// environment variable overrides it (at least 1 ms).
+  HealthMonitor()
+      : interval_ms_(std::max<uint64_t>(
+            1, EnvOverrideU64("ALEX_OBS_SAMPLE_MS", kDefaultIntervalMs))),
         registry_(&MetricsRegistry::Global()) {
     // Resolve every watched metric once; registration is idempotent and
     // the pointers are valid forever, so Collect() never takes the
@@ -370,14 +412,6 @@ class HealthMonitor {
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  const HealthOptions& options() const { return options_; }
-  void set_options(const HealthOptions& options) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    options_ = options;
-    interval_ms_.store(options.sample_interval_ms,
-                       std::memory_order_relaxed);
-  }
-
   /// Runtime cadence setter; the running sampler picks it up on its next
   /// tick.
   void SetIntervalMs(uint64_t ms) {
@@ -392,13 +426,15 @@ class HealthMonitor {
   /// not sample and so do not count).
   uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
 
-  const SampleRing& ring() const { return ring_; }
+  const SeqlockRing<SampledMetrics, kSampleCapacity>& ring() const {
+    return ring_;
+  }
 
   /// Collects one snapshot from the live registry and evaluates it.
   void SampleNow() { EvaluateSample(Collect()); }
 
   /// Evaluates one sample against the previous one: pushes it into the
-  /// time-series ring, runs every detector over the deltas, publishes the
+  /// time-series ring, judges every rule over the deltas, publishes the
   /// merged report, and journals one kHealthTransition event per detector
   /// whose level changed. Public so tests can inject synthetic samples
   /// and drive each rule across its edges deterministically.
@@ -410,42 +446,31 @@ class HealthMonitor {
     report.samples = samples_.load(std::memory_order_relaxed) + 1;
     report.ts_ns = sample.ts_ns;
 
+    for (size_t i = 0; i < kNumHealthDetectors; ++i) {
+      // The first sample has no window to judge: every verdict is Ok with
+      // its rule's identity filled in.
+      report.verdicts[i].detector = kHealthRules[i].detector;
+      report.verdicts[i].metric = kHealthRules[i].metric;
+    }
     if (have_last_) {
       const SampledMetrics& prev = last_;
       report.window_ns =
           sample.ts_ns > prev.ts_ns ? sample.ts_ns - prev.ts_ns : 0;
-      const double window_s =
-          report.window_ns > 0 ? static_cast<double>(report.window_ns) / 1e9
-                               : 0.0;
-      const uint64_t d_ops = Delta(sample.total_ops, prev.total_ops);
-      const uint64_t d_commits =
-          Delta(sample.wal_commit_count, prev.wal_commit_count);
+      const double window_s = static_cast<double>(report.window_ns) / 1e9;
       if (window_s > 0) {
-        report.ops_per_sec = static_cast<double>(d_ops) / window_s;
-        report.wal_commits_per_sec = static_cast<double>(d_commits) / window_s;
+        report.ops_per_sec =
+            static_cast<double>(
+                internal::Delta(sample.total_ops, prev.total_ops)) /
+            window_s;
+        report.wal_commits_per_sec =
+            static_cast<double>(internal::Delta(sample.wal_commit_count,
+                                                prev.wal_commit_count)) /
+            window_s;
       }
-      report.verdicts[0] = JudgeEpochStall(prev, sample);
-      report.verdicts[1] = JudgeRetiredGrowth(sample);
-      report.verdicts[2] = JudgeWalCommitWait(prev, sample);
-      report.verdicts[3] = JudgeWriteGateWait(prev, sample);
-      report.verdicts[4] = JudgeRouterFallback(prev, sample);
-      report.verdicts[5] = JudgeShardSkew(prev, sample);
-      report.verdicts[6] = JudgeSlowOpBurst(prev, sample);
-      report.verdicts[7] = JudgeTierCacheMiss(prev, sample);
-    } else {
-      // First sample: no window to judge; all detectors report Ok with
-      // their identities filled in.
       for (size_t i = 0; i < kNumHealthDetectors; ++i) {
-        report.verdicts[i].detector = static_cast<HealthDetector>(i);
+        report.verdicts[i] =
+            Judge(kHealthRules[i], prev, sample, &baselines_[i]);
       }
-      report.verdicts[0].metric = "epoch.advance_stalls";
-      report.verdicts[1].metric = "epoch.retired_unreclaimed";
-      report.verdicts[2].metric = "wal.commit_wait_ns";
-      report.verdicts[3].metric = "shard.write_gate_wait_ns";
-      report.verdicts[4].metric = "shard.router_fallbacks";
-      report.verdicts[5].metric = "shard.size_skew_x100";
-      report.verdicts[6].metric = "slow_ops.captured";
-      report.verdicts[7].metric = "tier.cache_misses";
     }
 
     for (const HealthVerdict& v : report.verdicts) {
@@ -512,7 +537,7 @@ class HealthMonitor {
     return thread_.joinable();
   }
 
-  /// Clears all evaluation state (samples, ring, baseline, levels,
+  /// Clears all evaluation state (samples, ring, baselines, levels,
   /// report). Test-only; must not run concurrently with the sampler
   /// thread — Stop() first.
   void ResetForTest() {
@@ -521,8 +546,7 @@ class HealthMonitor {
     have_last_ = false;
     last_ = SampledMetrics{};
     samples_.store(0, std::memory_order_relaxed);
-    wal_baseline_p99_ns_ = 0.0;
-    tier_miss_baseline_ = 0.0;
+    baselines_.fill(0.0);
     levels_.fill(HealthLevel::kOk);
     std::lock_guard<std::mutex> rlock(report_mutex_);
     report_ = HealthReport{};
@@ -550,7 +574,7 @@ class HealthMonitor {
     s.gate_wait_sum_ns = gate_wait_->Sum();
     s.router_hits = router_hits_->Load();
     s.router_fallbacks = router_fallbacks_->Load();
-    s.slow_ops_captured = registry_->slow_ops().captured();
+    s.slow_ops_captured = registry_->slow_ops().pushed();
     s.size_skew_x100 = size_skew_->Load();
     s.tier_cache_hits = tier_cache_hits_->Load();
     s.tier_cache_misses = tier_cache_misses_->Load();
@@ -563,239 +587,38 @@ class HealthMonitor {
   }
 
  private:
-  static uint64_t Delta(uint64_t cur, uint64_t prev) {
-    return cur >= prev ? cur - prev : 0;  // tolerate test-only resets
-  }
-
-  static HealthVerdict Verdict(HealthDetector d, HealthLevel level,
-                               const char* metric, double observed,
-                               double threshold) {
+  /// The one classifier: judges any rule over one window. For a baseline
+  /// rule, warn and critical scale the EWMA `*baseline` (never below the
+  /// floor): the first judged window seeds it and is Ok by definition —
+  /// there is nothing to regress from yet — and afterwards only Ok windows
+  /// teach it.
+  static HealthVerdict Judge(const HealthRule& rule,
+                             const SampledMetrics& prev,
+                             const SampledMetrics& cur, double* baseline) {
+    const Observation seen = rule.observe(prev, cur);
+    const double alpha = rule.baseline.alpha;
+    const auto at = [&](double threshold) {
+      return alpha > 0 ? std::max(rule.baseline.floor, *baseline * threshold)
+                       : threshold;
+    };
     HealthVerdict v;
-    v.detector = d;
-    v.level = level;
-    v.metric = metric;
-    v.observed = observed;
-    v.threshold = threshold;
+    v.detector = rule.detector;
+    v.metric = seen.metric != nullptr ? seen.metric : rule.metric;
+    v.observed = seen.value;
+    if (seen.judged) {
+      if (alpha > 0 && *baseline <= 0.0) {
+        *baseline = seen.value;
+      } else {
+        v.level = seen.value >= at(rule.critical) ? HealthLevel::kCritical
+                  : seen.value >= at(rule.warn)   ? HealthLevel::kWarn
+                                                  : HealthLevel::kOk;
+        if (alpha > 0 && v.level == HealthLevel::kOk) {
+          *baseline = (1.0 - alpha) * *baseline + alpha * seen.value;
+        }
+      }
+    }
+    v.threshold = at(rule.warn);
     return v;
-  }
-
-  HealthVerdict JudgeEpochStall(const SampledMetrics& prev,
-                                const SampledMetrics& cur) const {
-    const uint64_t stalls =
-        Delta(cur.epoch_advance_stalls, prev.epoch_advance_stalls);
-    const uint64_t advances = Delta(cur.epoch_advances, prev.epoch_advances);
-    HealthLevel level = HealthLevel::kOk;
-    // A stall only matters when nothing advanced and a backlog exists: a
-    // window with both stalls and advances is ordinary contention.
-    if (advances == 0 && cur.epoch_retired_unreclaimed > 0) {
-      if (stalls >= options_.epoch_stall_critical) {
-        level = HealthLevel::kCritical;
-      } else if (stalls >= options_.epoch_stall_warn) {
-        level = HealthLevel::kWarn;
-      }
-    }
-    return Verdict(HealthDetector::kEpochStall, level, "epoch.advance_stalls",
-                   static_cast<double>(stalls),
-                   static_cast<double>(options_.epoch_stall_warn));
-  }
-
-  HealthVerdict JudgeRetiredGrowth(const SampledMetrics& cur) const {
-    const int64_t backlog = cur.epoch_retired_unreclaimed;
-    HealthLevel level = HealthLevel::kOk;
-    if (backlog >= options_.retired_critical) {
-      level = HealthLevel::kCritical;
-    } else if (backlog >= options_.retired_warn) {
-      level = HealthLevel::kWarn;
-    }
-    return Verdict(HealthDetector::kRetiredGrowth, level,
-                   "epoch.retired_unreclaimed", static_cast<double>(backlog),
-                   static_cast<double>(options_.retired_warn));
-  }
-
-  HealthVerdict JudgeWalCommitWait(const SampledMetrics& prev,
-                                   const SampledMetrics& cur) {
-    const uint64_t commits =
-        Delta(cur.wal_commit_count, prev.wal_commit_count);
-    HealthLevel level = HealthLevel::kOk;
-    double p99 = 0.0;
-    double warn_at = std::max(
-        static_cast<double>(options_.wal_p99_floor_ns),
-        wal_baseline_p99_ns_ * options_.wal_p99_warn_factor);
-    if (commits >= options_.wal_min_window_commits) {
-      // Reconstruct the window's distribution from bucket deltas. The
-      // cumulative max is the only max available; Quantile clamps against
-      // it, which can only under-report the windowed p99 — never inflate.
-      uint64_t bucket_delta[util::Log2Histogram::kNumBuckets];
-      for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
-        bucket_delta[b] =
-            Delta(cur.wal_commit_buckets[b], prev.wal_commit_buckets[b]);
-      }
-      util::Log2Histogram window;
-      window.AddFolded(bucket_delta, util::Log2Histogram::kNumBuckets,
-                       Delta(cur.wal_commit_sum_ns, prev.wal_commit_sum_ns),
-                       cur.wal_commit_max_ns);
-      p99 = static_cast<double>(window.Quantile(0.99));
-      if (wal_baseline_p99_ns_ <= 0.0) {
-        // First qualifying window seeds the baseline and is Ok by
-        // definition: there is nothing to regress from yet.
-        wal_baseline_p99_ns_ = p99;
-      } else {
-        const double crit_at = std::max(
-            static_cast<double>(options_.wal_p99_floor_ns),
-            wal_baseline_p99_ns_ * options_.wal_p99_critical_factor);
-        if (p99 >= crit_at) {
-          level = HealthLevel::kCritical;
-        } else if (p99 >= warn_at) {
-          level = HealthLevel::kWarn;
-        } else {
-          // Only healthy windows teach the baseline, so a sustained
-          // regression keeps firing instead of becoming the new normal.
-          wal_baseline_p99_ns_ =
-              (1.0 - options_.wal_baseline_alpha) * wal_baseline_p99_ns_ +
-              options_.wal_baseline_alpha * p99;
-        }
-      }
-      warn_at = std::max(static_cast<double>(options_.wal_p99_floor_ns),
-                         wal_baseline_p99_ns_ * options_.wal_p99_warn_factor);
-    }
-    return Verdict(HealthDetector::kWalCommitWait, level, "wal.commit_wait_ns",
-                   p99, warn_at);
-  }
-
-  HealthVerdict JudgeWriteGateWait(const SampledMetrics& prev,
-                                   const SampledMetrics& cur) const {
-    const uint64_t contended = Delta(cur.gate_contended, prev.gate_contended);
-    const uint64_t waits = Delta(cur.gate_wait_count, prev.gate_wait_count);
-    const uint64_t wait_ns =
-        Delta(cur.gate_wait_sum_ns, prev.gate_wait_sum_ns);
-    HealthLevel level = HealthLevel::kOk;
-    double mean_ns = 0.0;
-    if (contended >= options_.gate_min_contended && waits > 0) {
-      mean_ns = static_cast<double>(wait_ns) / static_cast<double>(waits);
-      if (mean_ns >= static_cast<double>(options_.gate_wait_critical_ns)) {
-        level = HealthLevel::kCritical;
-      } else if (mean_ns >= static_cast<double>(options_.gate_wait_warn_ns)) {
-        level = HealthLevel::kWarn;
-      }
-    }
-    return Verdict(HealthDetector::kWriteGateWait, level,
-                   "shard.write_gate_wait_ns", mean_ns,
-                   static_cast<double>(options_.gate_wait_warn_ns));
-  }
-
-  HealthVerdict JudgeRouterFallback(const SampledMetrics& prev,
-                                    const SampledMetrics& cur) const {
-    const uint64_t hits = Delta(cur.router_hits, prev.router_hits);
-    const uint64_t fallbacks =
-        Delta(cur.router_fallbacks, prev.router_fallbacks);
-    const uint64_t routes = hits + fallbacks;
-    HealthLevel level = HealthLevel::kOk;
-    double rate = 0.0;
-    if (routes >= options_.fallback_min_routes) {
-      rate = static_cast<double>(fallbacks) / static_cast<double>(routes);
-      if (rate >= options_.fallback_critical_rate) {
-        level = HealthLevel::kCritical;
-      } else if (rate >= options_.fallback_warn_rate) {
-        level = HealthLevel::kWarn;
-      }
-    }
-    return Verdict(HealthDetector::kRouterFallback, level,
-                   "shard.router_fallbacks", rate,
-                   options_.fallback_warn_rate);
-  }
-
-  HealthVerdict JudgeShardSkew(const SampledMetrics& prev,
-                               const SampledMetrics& cur) const {
-    // Size skew: the rebalancer's own gauge (largest/mean x100).
-    int64_t worst_x100 = cur.size_skew_x100;
-    const char* metric = "shard.size_skew_x100";
-    // Traffic skew: per-shard op deltas over the window, overflow slot
-    // excluded (it mixes cross-shard ops from every shard).
-    uint64_t window_ops = 0, max_ops = 0;
-    size_t active = 0;
-    for (size_t slot = 0; slot < MetricsRegistry::kMaxTrackedShards; ++slot) {
-      const uint64_t d = Delta(cur.shard_ops[slot], prev.shard_ops[slot]);
-      if (d > 0) {
-        ++active;
-        window_ops += d;
-        max_ops = std::max(max_ops, d);
-      }
-    }
-    if (active >= 2 && window_ops >= options_.traffic_min_window_ops) {
-      const double mean =
-          static_cast<double>(window_ops) / static_cast<double>(active);
-      const int64_t traffic_x100 =
-          static_cast<int64_t>(100.0 * static_cast<double>(max_ops) / mean);
-      if (traffic_x100 > worst_x100) {
-        worst_x100 = traffic_x100;
-        metric = "op.shard_traffic_skew_x100";
-      }
-    }
-    HealthLevel level = HealthLevel::kOk;
-    if (worst_x100 >= options_.skew_critical_x100) {
-      level = HealthLevel::kCritical;
-    } else if (worst_x100 >= options_.skew_warn_x100) {
-      level = HealthLevel::kWarn;
-    }
-    return Verdict(HealthDetector::kShardSkew, level, metric,
-                   static_cast<double>(worst_x100),
-                   static_cast<double>(options_.skew_warn_x100));
-  }
-
-  HealthVerdict JudgeSlowOpBurst(const SampledMetrics& prev,
-                                 const SampledMetrics& cur) const {
-    const uint64_t burst =
-        Delta(cur.slow_ops_captured, prev.slow_ops_captured);
-    HealthLevel level = HealthLevel::kOk;
-    if (burst >= options_.slow_op_critical) {
-      level = HealthLevel::kCritical;
-    } else if (burst >= options_.slow_op_warn) {
-      level = HealthLevel::kWarn;
-    }
-    return Verdict(HealthDetector::kSlowOpBurst, level, "slow_ops.captured",
-                   static_cast<double>(burst),
-                   static_cast<double>(options_.slow_op_warn));
-  }
-
-  HealthVerdict JudgeTierCacheMiss(const SampledMetrics& prev,
-                                   const SampledMetrics& cur) {
-    const uint64_t hits = Delta(cur.tier_cache_hits, prev.tier_cache_hits);
-    const uint64_t misses =
-        Delta(cur.tier_cache_misses, prev.tier_cache_misses);
-    const uint64_t lookups = hits + misses;
-    HealthLevel level = HealthLevel::kOk;
-    double ratio = 0.0;
-    double warn_at =
-        std::max(options_.tier_miss_floor,
-                 tier_miss_baseline_ * options_.tier_miss_warn_factor);
-    if (lookups >= options_.tier_min_window_lookups) {
-      ratio = static_cast<double>(misses) / static_cast<double>(lookups);
-      if (tier_miss_baseline_ <= 0.0) {
-        // First qualifying window seeds the baseline and is Ok by
-        // definition, exactly like the WAL commit-wait rule.
-        tier_miss_baseline_ = ratio;
-      } else {
-        const double crit_at = std::max(
-            options_.tier_miss_floor,
-            tier_miss_baseline_ * options_.tier_miss_critical_factor);
-        if (ratio >= crit_at) {
-          level = HealthLevel::kCritical;
-        } else if (ratio >= warn_at) {
-          level = HealthLevel::kWarn;
-        } else {
-          // Only healthy windows teach the baseline: a working set that
-          // outgrew the cache keeps firing instead of normalizing.
-          tier_miss_baseline_ =
-              (1.0 - options_.tier_baseline_alpha) * tier_miss_baseline_ +
-              options_.tier_baseline_alpha * ratio;
-        }
-      }
-      warn_at =
-          std::max(options_.tier_miss_floor,
-                   tier_miss_baseline_ * options_.tier_miss_warn_factor);
-    }
-    return Verdict(HealthDetector::kTierCacheMiss, level,
-                   "tier.cache_misses", ratio, warn_at);
   }
 
   void SamplerLoop() {
@@ -815,7 +638,6 @@ class HealthMonitor {
     }
   }
 
-  HealthOptions options_;  // mutated only under mutex_
   std::atomic<uint64_t> interval_ms_;
   MetricsRegistry* const registry_;
 
@@ -838,11 +660,10 @@ class HealthMonitor {
 
   // Evaluation state, under mutex_.
   std::mutex mutex_;
-  SampleRing ring_;
+  SeqlockRing<SampledMetrics, kSampleCapacity> ring_;
   SampledMetrics last_{};
   bool have_last_ = false;
-  double wal_baseline_p99_ns_ = 0.0;
-  double tier_miss_baseline_ = 0.0;
+  std::array<double, kNumHealthDetectors> baselines_{};  // EWMA rows only
   std::array<HealthLevel, kNumHealthDetectors> levels_{};
   std::atomic<uint64_t> samples_{0};
 

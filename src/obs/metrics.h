@@ -33,15 +33,16 @@
 //
 // The per-operation layer: ScopedOpTimer wraps one public index operation,
 // records its latency into a per-(op, shard) histogram, and — when the
-// latency exceeds SlowOpRing::threshold_ns() — captures a structured trace
-// record (op, shard, duration, descent retries, leaf splits escalated, WAL
-// commit wait) into a fixed-size lock-free ring. The context fields are
-// accumulated by the inner layers through a thread-local OpContext that the
-// timer resets on construction, which keeps the layers decoupled: the core
-// index bumps "descent retry" without knowing whether a sharded op, a bench
-// loop, or nothing at all is watching. ScopedOpTimer is not reentrant (one
-// live timer per thread); public index operations do not nest, which is the
-// only place it is used.
+// latency reaches MetricsRegistry::slow_op_threshold_ns() — captures a
+// structured trace record (op, shard, duration, descent retries, leaf
+// splits escalated, WAL commit wait) into a SeqlockRing
+// (obs/seqlock_ring.h). The context fields are accumulated by the inner
+// layers through a thread-local OpContext that the timer resets on
+// construction, which keeps the layers decoupled: the core index bumps
+// "descent retry" without knowing whether a sharded op, a bench loop, or
+// nothing at all is watching. ScopedOpTimer is not reentrant (one live
+// timer per thread); public index operations do not nest, which is the only
+// place it is used.
 //
 // Thread-safety: everything here is safe to call concurrently. Reset
 // functions are test/bench-only and must not race writers.
@@ -63,6 +64,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/seqlock_ring.h"
 #include "util/histogram.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -140,8 +142,8 @@ inline uint64_t TicksToNs(uint64_t ticks) {
 
 /// Reads an unsigned integer environment override, falling back to
 /// `fallback` when the variable is unset or unparseable. Re-read on every
-/// call (no caching) so objects constructed after a setenv — fresh rings
-/// in tests, the health monitor's options — pick the override up.
+/// call (no caching) so a setenv before a call — in tests, or before the
+/// health monitor is constructed — is picked up.
 inline uint64_t EnvOverrideU64(const char* name, uint64_t fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
@@ -379,100 +381,6 @@ struct SlowOpRecord {
   uint64_t wal_wait_ns = 0;
 };
 
-/// Fixed-size lock-free trace ring. Writers claim a slot with one
-/// fetch_add and publish through a per-slot sequence word (odd while
-/// writing, even when published); Snapshot() skips slots it catches
-/// mid-write. All record fields are atomics, so a racing overwrite can
-/// produce a *dropped* record but never a torn read.
-class SlowOpRing {
- public:
-  static constexpr size_t kCapacity = 256;  // power of two
-  static constexpr uint64_t kDefaultThresholdNs = 10'000'000;  // 10 ms
-
-  /// The construction-time threshold: kDefaultThresholdNs unless the
-  /// ALEX_OBS_SLOW_OP_NS environment variable overrides it.
-  static uint64_t InitialThresholdNs() {
-    return EnvOverrideU64("ALEX_OBS_SLOW_OP_NS", kDefaultThresholdNs);
-  }
-
-  void set_threshold_ns(uint64_t ns) {
-    threshold_ns_.store(ns, std::memory_order_relaxed);
-  }
-  uint64_t threshold_ns() const {
-    return threshold_ns_.load(std::memory_order_relaxed);
-  }
-
-  /// Total records ever captured (not the live count: the ring keeps the
-  /// most recent kCapacity).
-  uint64_t captured() const { return next_.load(std::memory_order_relaxed); }
-
-  void Push(OpType op, uint32_t shard, uint64_t duration_ns,
-            const OpContext& ctx) {
-    const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & (kCapacity - 1)];
-    s.seq.store(2 * ticket + 1, std::memory_order_release);
-    s.ts_ns.store(TicksToNs(NowTicks()), std::memory_order_relaxed);
-    s.op.store(static_cast<uint64_t>(op), std::memory_order_relaxed);
-    s.shard.store(shard, std::memory_order_relaxed);
-    s.duration_ns.store(duration_ns, std::memory_order_relaxed);
-    s.descent_retries.store(ctx.descent_retries, std::memory_order_relaxed);
-    s.leaf_splits.store(ctx.leaf_splits, std::memory_order_relaxed);
-    s.wal_wait_ns.store(ctx.wal_wait_ns, std::memory_order_relaxed);
-    s.seq.store(2 * ticket + 2, std::memory_order_release);
-  }
-
-  /// Stable records, oldest first.
-  std::vector<SlowOpRecord> Snapshot() const {
-    std::vector<SlowOpRecord> out;
-    out.reserve(kCapacity);
-    for (const Slot& s : slots_) {
-      const uint64_t seq = s.seq.load(std::memory_order_acquire);
-      if (seq == 0 || (seq & 1) != 0) continue;  // empty or being written
-      SlowOpRecord rec;
-      rec.ticket = seq / 2 - 1;
-      rec.ts_ns = s.ts_ns.load(std::memory_order_relaxed);
-      rec.op = static_cast<OpType>(s.op.load(std::memory_order_relaxed));
-      rec.shard =
-          static_cast<uint32_t>(s.shard.load(std::memory_order_relaxed));
-      rec.duration_ns = s.duration_ns.load(std::memory_order_relaxed);
-      rec.descent_retries = static_cast<uint32_t>(
-          s.descent_retries.load(std::memory_order_relaxed));
-      rec.leaf_splits =
-          static_cast<uint32_t>(s.leaf_splits.load(std::memory_order_relaxed));
-      rec.wal_wait_ns = s.wal_wait_ns.load(std::memory_order_relaxed);
-      if (s.seq.load(std::memory_order_acquire) != seq) continue;  // reused
-      out.push_back(rec);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const SlowOpRecord& a, const SlowOpRecord& b) {
-                return a.ticket < b.ticket;
-              });
-    return out;
-  }
-
-  /// Test/bench-only; must not race Push().
-  void Reset() {
-    next_.store(0, std::memory_order_relaxed);
-    for (Slot& s : slots_) s.seq.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint64_t> op{0};
-    std::atomic<uint64_t> shard{0};
-    std::atomic<uint64_t> duration_ns{0};
-    std::atomic<uint64_t> descent_retries{0};
-    std::atomic<uint64_t> leaf_splits{0};
-    std::atomic<uint64_t> wal_wait_ns{0};
-  };
-
-  std::atomic<uint64_t> next_{0};
-  std::atomic<uint64_t> threshold_ns_{InitialThresholdNs()};
-  std::array<Slot, kCapacity> slots_{};
-};
-
 // ---------------------------------------------------------------------------
 // Registry.
 
@@ -482,6 +390,12 @@ class MetricsRegistry {
   /// past the cap, and cross-shard ops (kShardAll), fold into one overflow
   /// slot named "all".
   static constexpr size_t kMaxTrackedShards = 32;
+
+  /// The slow-op trace keeps the newest kSlowOpCapacity captures; an op is
+  /// captured when its latency reaches the threshold, 10 ms unless the
+  /// ALEX_OBS_SLOW_OP_NS environment variable overrides it.
+  static constexpr size_t kSlowOpCapacity = 256;
+  static constexpr uint64_t kDefaultSlowOpThresholdNs = 10'000'000;
 
   /// The process-wide registry. Deliberately leaked so metric pointers
   /// cached in function-local statics stay valid through static
@@ -543,8 +457,29 @@ class MetricsRegistry {
     return merged;
   }
 
-  SlowOpRing& slow_ops() { return slow_ops_; }
-  const SlowOpRing& slow_ops() const { return slow_ops_; }
+  SeqlockRing<SlowOpRecord, kSlowOpCapacity>& slow_ops() { return slow_ops_; }
+  const SeqlockRing<SlowOpRecord, kSlowOpCapacity>& slow_ops() const {
+    return slow_ops_;
+  }
+
+  /// Captures one operation into slow_ops(), stamped with the current time
+  /// (its completion, when the op timer calls it).
+  void CaptureSlowOp(OpType op, uint32_t shard, uint64_t duration_ns,
+                     const OpContext& ctx) {
+    slow_ops_.Push({0, TicksToNs(NowTicks()), op, shard, duration_ns,
+                    ctx.descent_retries, ctx.leaf_splits, ctx.wal_wait_ns});
+  }
+
+  /// The registry's construction-time threshold (reads the environment).
+  static uint64_t InitialSlowOpThresholdNs() {
+    return EnvOverrideU64("ALEX_OBS_SLOW_OP_NS", kDefaultSlowOpThresholdNs);
+  }
+  void set_slow_op_threshold_ns(uint64_t ns) {
+    slow_op_threshold_ns_.store(ns, std::memory_order_relaxed);
+  }
+  uint64_t slow_op_threshold_ns() const {
+    return slow_op_threshold_ns_.load(std::memory_order_relaxed);
+  }
 
   /// Total operations recorded against one per-shard latency slot, summed
   /// across op types. Cheap relative to a full snapshot: only slots some
@@ -759,7 +694,8 @@ class MetricsRegistry {
   std::array<std::array<std::atomic<Histogram*>, kMaxTrackedShards + 1>,
              kNumOpTypes>
       op_latency_{};
-  SlowOpRing slow_ops_;
+  SeqlockRing<SlowOpRecord, kSlowOpCapacity> slow_ops_;
+  std::atomic<uint64_t> slow_op_threshold_ns_{InitialSlowOpThresholdNs()};
 };
 
 // ---------------------------------------------------------------------------
@@ -797,9 +733,8 @@ class ScopedOpTimer {
     const uint64_t ns = TicksToNs(NowTicks() - start_ticks_);
     MetricsRegistry& reg = MetricsRegistry::Global();
     reg.OpLatency(op_, shard_)->Record(ns);
-    SlowOpRing& ring = reg.slow_ops();
-    if (__builtin_expect(ns >= ring.threshold_ns(), 0)) {
-      ring.Push(op_, shard_, ns, TlsOpContext());
+    if (__builtin_expect(ns >= reg.slow_op_threshold_ns(), 0)) {
+      reg.CaptureSlowOp(op_, shard_, ns, TlsOpContext());
     }
 #endif
   }

@@ -2235,7 +2235,7 @@ class ShardedAlex {
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
     const uint64_t old_segment = victim->segment->id();
     std::shared_ptr<Shard> resident = MakeResident(victim);
-    const uint64_t n = resident->TierSize();
+    [[maybe_unused]] const uint64_t n = resident->TierSize();
     ReplaceShard(table, idx, std::move(resident), &gate);
     // The segment file is NOT unlinked here: the committed manifest may
     // still reference it (a crash before the next checkpoint must be

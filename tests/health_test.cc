@@ -1,11 +1,11 @@
-// Tests for the health watchdog (src/obs/health.h): the SampleRing
-// seqlock, env-var and runtime configuration, every detector driven
-// across its kOk -> kWarn -> kCritical -> kOk edges by synthetic sample
-// injection (with exactly one journal transition event per edge), the two
-// acceptance scenarios — a forced real epoch-reclamation stall and a
-// forced real WAL commit-wait regression, each detected with the
-// offending metric named — plus structural introspection (Inspect) and
-// the Chrome-trace exporter.
+// Tests for the health watchdog (src/obs/health.h): the sample ring,
+// env-var and runtime configuration of the sampler interval, every detector
+// driven across its kOk -> kWarn -> kCritical -> kOk edges by synthetic
+// sample injection (with exactly one journal transition event per edge),
+// the two acceptance scenarios — a forced real epoch-reclamation stall and
+// a forced real WAL commit-wait regression, each detected with the
+// offending metric named — plus structural introspection (Inspect) and the
+// Chrome-trace exporter.
 //
 // The TSan target is SamplerVsConcurrentMutators: the sampler thread
 // collects and evaluates while writer threads mutate a ShardedAlex
@@ -38,11 +38,9 @@ using obs::GlobalJournal;
 using obs::HealthDetector;
 using obs::HealthLevel;
 using obs::HealthMonitor;
-using obs::HealthOptions;
 using obs::HealthReport;
 using obs::JournalEvent;
 using obs::SampledMetrics;
-using obs::SampleRing;
 using Sharded = shard::ShardedAlex<int64_t, int64_t>;
 
 class HealthTest : public ::testing::Test {
@@ -50,18 +48,18 @@ class HealthTest : public ::testing::Test {
   void SetUp() override {
     obs::SetEnabled(false);
     obs::MetricsRegistry::Global().ResetAll();
-    obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(
-        obs::SlowOpRing::kDefaultThresholdNs);
+    obs::MetricsRegistry::Global().set_slow_op_threshold_ns(
+        obs::MetricsRegistry::kDefaultSlowOpThresholdNs);
     GlobalJournal().Reset();
-    monitor_ = std::make_unique<HealthMonitor>(HealthOptions{});
+    monitor_ = std::make_unique<HealthMonitor>();
     next_ts_ns_ = 1'000'000'000;
     cursor_ = SampledMetrics{};
   }
   void TearDown() override {
     monitor_->Stop();
     obs::SetEnabled(false);
-    obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(
-        obs::SlowOpRing::kDefaultThresholdNs);
+    obs::MetricsRegistry::Global().set_slow_op_threshold_ns(
+        obs::MetricsRegistry::kDefaultSlowOpThresholdNs);
     GlobalJournal().Reset();
   }
 
@@ -110,9 +108,11 @@ std::string TempPath(const char* name) {
 #endif
 
 // ---------------------------------------------------------------------------
-// SampleRing.
+// The monitor's sample ring.
 
 TEST_F(HealthTest, SampleRingRoundTripsAndKeepsNewestAcrossWrap) {
+  using SampleRing = obs::SeqlockRing<SampledMetrics,
+                                      HealthMonitor::kSampleCapacity>;
   SampleRing ring;
   constexpr uint64_t kPushes = SampleRing::kCapacity + 36;
   for (uint64_t i = 0; i < kPushes; ++i) {
@@ -126,6 +126,7 @@ TEST_F(HealthTest, SampleRingRoundTripsAndKeepsNewestAcrossWrap) {
   ASSERT_EQ(got.size(), SampleRing::kCapacity);
   for (size_t i = 0; i < got.size(); ++i) {
     const uint64_t expected = kPushes - SampleRing::kCapacity + i;
+    EXPECT_EQ(got[i].ticket, expected);
     EXPECT_EQ(got[i].ts_ns, expected + 1);
     EXPECT_EQ(got[i].total_ops, expected * 10);
   }
@@ -134,15 +135,15 @@ TEST_F(HealthTest, SampleRingRoundTripsAndKeepsNewestAcrossWrap) {
 // ---------------------------------------------------------------------------
 // Configuration: env overrides and runtime setters.
 
-TEST_F(HealthTest, SampleIntervalEnvOverrideIsPickedUpByFreshOptions) {
+TEST_F(HealthTest, SampleIntervalEnvOverrideIsPickedUpByFreshMonitors) {
   ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "7", 1), 0);
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 7u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 7u);
   ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "0", 1), 0);  // clamped to 1
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 1u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 1u);
   ASSERT_EQ(::setenv("ALEX_OBS_SAMPLE_MS", "junk", 1), 0);  // ignored
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 100u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 100u);
   ASSERT_EQ(::unsetenv("ALEX_OBS_SAMPLE_MS"), 0);
-  EXPECT_EQ(HealthOptions::FromEnv().sample_interval_ms, 100u);
+  EXPECT_EQ(HealthMonitor().interval_ms(), 100u);
 }
 
 TEST_F(HealthTest, IntervalIsRuntimeAdjustableAndClamped) {
@@ -150,10 +151,6 @@ TEST_F(HealthTest, IntervalIsRuntimeAdjustableAndClamped) {
   EXPECT_EQ(monitor_->interval_ms(), 5u);
   monitor_->SetIntervalMs(0);
   EXPECT_EQ(monitor_->interval_ms(), 1u);  // floor: the cv needs a period
-  HealthOptions options;
-  options.sample_interval_ms = 42;
-  monitor_->set_options(options);
-  EXPECT_EQ(monitor_->interval_ms(), 42u);
 }
 
 // ---------------------------------------------------------------------------
@@ -172,6 +169,42 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
   }
   EXPECT_TRUE(EdgesFor(HealthDetector::kEpochStall).empty());
   EXPECT_EQ(monitor_->ring().pushed(), 1u);
+
+  // Each detector names the same metric on the first sample as when it
+  // fires. One window seeds the two baseline rules while the other six
+  // fire; the next regresses both baseline rules. shard_skew fires on the
+  // size gauge here: its traffic variant names its own metric
+  // (ShardTrafficSkewNamesItsOwnMetric).
+  util::Log2Histogram wal;
+  auto window = [&](uint64_t commit_wait_ns, uint64_t hits, uint64_t misses) {
+    for (int i = 0; i < 32; ++i) wal.Record(commit_wait_ns);
+    cursor_.wal_commit_count = wal.Count();
+    cursor_.wal_commit_sum_ns = wal.Sum();
+    cursor_.wal_commit_max_ns = wal.Max();
+    for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
+      cursor_.wal_commit_buckets[b] = wal.count(b);
+    }
+    cursor_.tier_cache_hits += hits;
+    cursor_.tier_cache_misses += misses;
+    cursor_.epoch_advance_stalls += 20;
+    cursor_.epoch_retired_unreclaimed = 65536;
+    cursor_.gate_contended += 8;
+    cursor_.gate_wait_count += 8;
+    cursor_.gate_wait_sum_ns += 8 * 20'000'000;
+    cursor_.router_fallbacks += 100;
+    cursor_.size_skew_x100 = 2000;
+    cursor_.slow_ops_captured += 100;
+    Inject();
+  };
+  window(1'000'000, 980, 20);
+  window(100'000'000, 500, 500);
+  const HealthReport fired = monitor_->Report();
+  for (size_t i = 0; i < obs::kNumHealthDetectors; ++i) {
+    EXPECT_EQ(fired.verdicts[i].level, HealthLevel::kCritical)
+        << obs::DetectorName(static_cast<HealthDetector>(i));
+    EXPECT_STREQ(fired.verdicts[i].metric, report.verdicts[i].metric)
+        << obs::DetectorName(static_cast<HealthDetector>(i));
+  }
 }
 
 TEST_F(HealthTest, EpochStallEdges) {
@@ -451,7 +484,7 @@ TEST_F(HealthTest, SamplerThreadSkipsTicksWhileDisabled) {
 // and structure walks.
 TEST_F(HealthTest, SamplerVsConcurrentMutators) {
   obs::SetEnabled(true);
-  obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(0);
+  obs::MetricsRegistry::Global().set_slow_op_threshold_ns(0);
   shard::ShardedOptions options;
   options.num_shards = 2;
   options.min_rebalance_keys = 256;
@@ -535,7 +568,7 @@ TEST_F(HealthTest, InspectReportsConsistentStructure) {
 TEST_F(HealthTest, ChromeTraceExportsSlowOpsAndJournalEvents) {
   obs::SetEnabled(true);
   // Floor the threshold so real ops land in the slow-op ring.
-  obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(0);
+  obs::MetricsRegistry::Global().set_slow_op_threshold_ns(0);
   shard::ShardedOptions options;
   options.num_shards = 2;
   Sharded index(options);

@@ -40,13 +40,13 @@ class ObsIntegrationTest : public ::testing::Test {
   void SetUp() override {
     obs::SetEnabled(true);
     obs::MetricsRegistry::Global().ResetAll();
-    obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(
-        obs::SlowOpRing::kDefaultThresholdNs);
+    obs::MetricsRegistry::Global().set_slow_op_threshold_ns(
+        obs::MetricsRegistry::kDefaultSlowOpThresholdNs);
   }
   void TearDown() override {
     obs::SetEnabled(false);
-    obs::MetricsRegistry::Global().slow_ops().set_threshold_ns(
-        obs::SlowOpRing::kDefaultThresholdNs);
+    obs::MetricsRegistry::Global().set_slow_op_threshold_ns(
+        obs::MetricsRegistry::kDefaultSlowOpThresholdNs);
   }
 };
 
@@ -177,7 +177,7 @@ TEST_F(ObsIntegrationTest, SlowOpRingCapturesRealOperations) {
   const std::string prefix = TempPrefix("obs_slow");
   test_util::RemovePrefixFiles(prefix);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-  reg.slow_ops().set_threshold_ns(0);
+  reg.set_slow_op_threshold_ns(0);
   ShardedOptions options;
   options.num_shards = 2;
   Sharded index(options);

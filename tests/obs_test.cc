@@ -1,19 +1,21 @@
 // Unit tests for the observability layer (src/obs/metrics.h): metric
-// primitives (striped counters, gauges, atomic histograms), the slow-op
-// trace ring, the registry with its JSON / Prometheus exports, the scoped
-// timers, and the SIMD dispatch counters.
+// primitives (striped counters, gauges, atomic histograms), the seqlock
+// ring and the slow-op trace built on it, the registry with its JSON /
+// Prometheus exports, the scoped timers, and the SIMD dispatch counters.
 //
 // The registry and the enable flag are process-global, so every test
 // starts from a known state (flag off, all metrics zero, default slow-op
-// threshold) via the fixture. The striped-counter concurrency test is the
-// suite's TSan target: writers hammer one counter from more threads than
-// stripes while readers fold snapshots.
+// threshold) via the fixture. The striped-counter concurrency test and the
+// ring torture test are the suite's TSan targets: writers hammer one
+// counter from more threads than stripes, or lap each other on one ring,
+// while readers fold snapshots.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -31,13 +33,13 @@ class ObsTest : public ::testing::Test {
   void SetUp() override {
     SetEnabled(false);
     MetricsRegistry::Global().ResetAll();
-    MetricsRegistry::Global().slow_ops().set_threshold_ns(
-        SlowOpRing::kDefaultThresholdNs);
+    MetricsRegistry::Global().set_slow_op_threshold_ns(
+        MetricsRegistry::kDefaultSlowOpThresholdNs);
   }
   void TearDown() override {
     SetEnabled(false);
-    MetricsRegistry::Global().slow_ops().set_threshold_ns(
-        SlowOpRing::kDefaultThresholdNs);
+    MetricsRegistry::Global().set_slow_op_threshold_ns(
+        MetricsRegistry::kDefaultSlowOpThresholdNs);
   }
 };
 
@@ -117,18 +119,21 @@ TEST_F(ObsTest, HistogramRecordsAndSnapshots) {
 }
 
 TEST_F(ObsTest, SlowOpRingCapturesOrderedAndWraps) {
-  SlowOpRing ring;
-  EXPECT_EQ(ring.threshold_ns(), SlowOpRing::kDefaultThresholdNs);
-  ring.set_threshold_ns(123);
-  EXPECT_EQ(ring.threshold_ns(), 123u);
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  constexpr uint64_t kCapacity = MetricsRegistry::kSlowOpCapacity;
+  EXPECT_EQ(reg.slow_op_threshold_ns(),
+            MetricsRegistry::kDefaultSlowOpThresholdNs);
+  reg.set_slow_op_threshold_ns(123);
+  EXPECT_EQ(reg.slow_op_threshold_ns(), 123u);
   OpContext ctx;
   ctx.descent_retries = 4;
   ctx.leaf_splits = 2;
   ctx.wal_wait_ns = 777;
   for (uint64_t i = 0; i < 5; ++i) {
-    ring.Push(OpType::kInsert, static_cast<uint32_t>(i), 1000 + i, ctx);
+    reg.CaptureSlowOp(OpType::kInsert, static_cast<uint32_t>(i), 1000 + i,
+                      ctx);
   }
-  std::vector<SlowOpRecord> records = ring.Snapshot();
+  std::vector<SlowOpRecord> records = reg.slow_ops().Snapshot();
   ASSERT_EQ(records.size(), 5u);
   for (uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(records[i].ticket, i);
@@ -140,17 +145,88 @@ TEST_F(ObsTest, SlowOpRingCapturesOrderedAndWraps) {
     EXPECT_EQ(records[i].wal_wait_ns, 777u);
   }
   // Overflow: the ring keeps the most recent kCapacity records.
-  for (uint64_t i = 5; i < SlowOpRing::kCapacity + 10; ++i) {
-    ring.Push(OpType::kGet, kShardAll, i, OpContext{});
+  for (uint64_t i = 5; i < kCapacity + 10; ++i) {
+    reg.CaptureSlowOp(OpType::kGet, kShardAll, i, OpContext{});
   }
-  records = ring.Snapshot();
-  ASSERT_EQ(records.size(), SlowOpRing::kCapacity);
+  records = reg.slow_ops().Snapshot();
+  ASSERT_EQ(records.size(), kCapacity);
   EXPECT_EQ(records.front().ticket, 10u);  // 266 pushed, oldest 10 survive..
-  EXPECT_EQ(records.back().ticket, SlowOpRing::kCapacity + 9);
-  EXPECT_EQ(ring.captured(), SlowOpRing::kCapacity + 10);
-  ring.Reset();
-  EXPECT_TRUE(ring.Snapshot().empty());
-  EXPECT_EQ(ring.captured(), 0u);
+  EXPECT_EQ(records.back().ticket, kCapacity + 9);
+  EXPECT_EQ(reg.slow_ops().pushed(), kCapacity + 10);
+  reg.slow_ops().Reset();
+  EXPECT_TRUE(reg.slow_ops().Snapshot().empty());
+  EXPECT_EQ(reg.slow_ops().pushed(), 0u);
+}
+
+// TSan target and the check of the ring's publication protocol: writers
+// lap each other on a capacity-2 ring while readers snapshot it. Every
+// payload word of a record holds one value unique to its writer and push,
+// so a record stitched together from two writes shows unequal words. The
+// run is timed, not counted, and has twice as many writers as a 4-core
+// machine has cores: tears need a writer preempted mid-write. With an
+// unconditional odd store in Push, one-second runs on 4 cores returned
+// thousands of torn records; runs of ~100 ms returned none.
+TEST_F(ObsTest, SeqlockRingTortureNeverReturnsTornRecords) {
+  struct Record {
+    uint64_t ticket;
+    uint64_t words[63];
+  };
+  using Ring = SeqlockRing<Record, 2>;
+  Ring ring;
+  constexpr uint64_t kWriters = 8;
+  constexpr int kReaders = 2;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> torn{0}, disordered{0}, oversized{0}, seen{0};
+  std::atomic<uint64_t> pushes{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::vector<Record> snap = ring.Snapshot();
+        if (snap.size() > Ring::kCapacity) oversized.fetch_add(1);
+        for (size_t i = 0; i < snap.size(); ++i) {
+          for (const uint64_t w : snap[i].words) {
+            if (w != snap[i].words[0]) {
+              torn.fetch_add(1);
+              break;
+            }
+          }
+          if (i > 0 && snap[i].ticket <= snap[i - 1].ticket) {
+            disordered.fetch_add(1);
+          }
+        }
+        seen.fetch_add(snap.size(), std::memory_order_relaxed);
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      uint64_t c = 0;
+      while (c % 1024 != 0 || std::chrono::steady_clock::now() < deadline) {
+        ++c;
+        Record rec{};
+        for (uint64_t& word : rec.words) word = (w + 1) << 40 | c;
+        ring.Push(rec);
+      }
+      pushes.fetch_add(c);
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(disordered.load(), 0u);
+  EXPECT_EQ(oversized.load(), 0u);
+  EXPECT_GT(seen.load(), 0u);
+  EXPECT_EQ(ring.pushed(), pushes.load());
+  // Quiescent: a lapped push may have been dropped, but slots hold
+  // published records.
+  const std::vector<Record> last = ring.Snapshot();
+  ASSERT_FALSE(last.empty());
+  EXPECT_LT(last.back().ticket, pushes.load());
 }
 
 TEST_F(ObsTest, RegistryPointersAreStableAcrossResetAll) {
@@ -182,7 +258,7 @@ TEST_F(ObsTest, SnapshotJsonContainsAllSections) {
   reg.GetHistogram("test.json_hist")->Record(1000);
   OpContext ctx;
   ctx.descent_retries = 1;
-  reg.slow_ops().Push(OpType::kScan, kShardAll, 5555, ctx);
+  reg.CaptureSlowOp(OpType::kScan, kShardAll, 5555, ctx);
   const std::string json = reg.SnapshotJson();
   EXPECT_NE(json.find("\"test.json_counter\": 12"), std::string::npos);
   EXPECT_NE(json.find("\"test.json_gauge\": -4"), std::string::npos);
@@ -330,28 +406,23 @@ TEST_F(ObsTest, PrometheusHelpCatalogue) {
 }
 
 TEST_F(ObsTest, SlowOpThresholdEnvOverride) {
+  // The registry reads the threshold once, at construction, through
+  // InitialSlowOpThresholdNs().
   ASSERT_EQ(::setenv("ALEX_OBS_SLOW_OP_NS", "5555", 1), 0);
-  {
-    SlowOpRing ring;  // fresh ring reads the env at construction
-    EXPECT_EQ(ring.threshold_ns(), 5555u);
-  }
-  ASSERT_EQ(::setenv("ALEX_OBS_SLOW_OP_NS", "junk", 1), 0);
-  {
-    SlowOpRing ring;  // unparseable: default
-    EXPECT_EQ(ring.threshold_ns(), SlowOpRing::kDefaultThresholdNs);
-  }
+  EXPECT_EQ(MetricsRegistry::InitialSlowOpThresholdNs(), 5555u);
+  ASSERT_EQ(::setenv("ALEX_OBS_SLOW_OP_NS", "junk", 1), 0);  // default
+  EXPECT_EQ(MetricsRegistry::InitialSlowOpThresholdNs(),
+            MetricsRegistry::kDefaultSlowOpThresholdNs);
   ASSERT_EQ(::unsetenv("ALEX_OBS_SLOW_OP_NS"), 0);
-  {
-    SlowOpRing ring;
-    EXPECT_EQ(ring.threshold_ns(), SlowOpRing::kDefaultThresholdNs);
-  }
+  EXPECT_EQ(MetricsRegistry::InitialSlowOpThresholdNs(),
+            MetricsRegistry::kDefaultSlowOpThresholdNs);
 }
 
 TEST_F(ObsTest, SlowOpRecordsCarryCompletionTimestamps) {
-  SlowOpRing ring;
-  ring.Push(OpType::kGet, 0, 1000, OpContext{});
-  ring.Push(OpType::kGet, 0, 1000, OpContext{});
-  const std::vector<SlowOpRecord> records = ring.Snapshot();
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  reg.CaptureSlowOp(OpType::kGet, 0, 1000, OpContext{});
+  reg.CaptureSlowOp(OpType::kGet, 0, 1000, OpContext{});
+  const std::vector<SlowOpRecord> records = reg.slow_ops().Snapshot();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_GT(records[0].ts_ns, 0u);
   EXPECT_GE(records[1].ts_ns, records[0].ts_ns);
@@ -375,7 +446,7 @@ TEST_F(ObsTest, ScopedOpTimerRecordsPerShardLatency) {
 TEST_F(ObsTest, ScopedOpTimerCapturesSlowOpWithContext) {
   SetEnabled(true);
   MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.slow_ops().set_threshold_ns(0);  // every op is "slow"
+  reg.set_slow_op_threshold_ns(0);  // every op is "slow"
   {
     ScopedOpTimer timer(OpType::kInsert);
     timer.set_shard(5);
@@ -405,7 +476,7 @@ TEST_F(ObsTest, FastOpsStayOutOfTheSlowOpRing) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   // Default threshold is 10ms; an empty scope is nanoseconds.
   { ScopedOpTimer timer(OpType::kGet, 0); }
-  EXPECT_EQ(reg.slow_ops().captured(), 0u);
+  EXPECT_EQ(reg.slow_ops().pushed(), 0u);
   EXPECT_EQ(reg.OpLatencySnapshot(OpType::kGet).Count(), 1u);
 }
 
@@ -416,14 +487,14 @@ TEST_F(ObsTest, FastOpsStayOutOfTheSlowOpRing) {
 // recorded, nothing traced.
 TEST_F(ObsTest, DisabledFlagMakesEverySiteInert) {
   MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.slow_ops().set_threshold_ns(0);
+  reg.set_slow_op_threshold_ns(0);
   ALEX_OBS_COUNTER_INC("test.disabled_counter");
   ALEX_OBS_GAUGE_SET("test.disabled_gauge", 9);
   ALEX_OBS_HIST_RECORD("test.disabled_hist", 9);
   ALEX_OBS_CTX_ADD(descent_retries, 9);
   { ScopedOpTimer timer(OpType::kInsert, 1); }
   EXPECT_EQ(reg.NonZeroMetricCount(), 0u);
-  EXPECT_EQ(reg.slow_ops().captured(), 0u);
+  EXPECT_EQ(reg.slow_ops().pushed(), 0u);
   EXPECT_EQ(reg.OpLatencySnapshot(OpType::kInsert).Count(), 0u);
 }
 
