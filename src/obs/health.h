@@ -3,13 +3,12 @@
 //
 // The metrics layer (obs/metrics.h) can tell an operator *what* the
 // numbers are; it cannot notice that epoch reclamation has silently
-// stalled, that WAL group commit has regressed 10x, or that the router has
-// drifted into binary-search fallback. This header closes that loop:
+// stalled, that WAL group commit has regressed 10x, or that one shard has
+// grown far past the rest. This header closes that loop:
 //
 //   - SampledMetrics is one fixed-shape snapshot of the health-relevant
 //     registry state (epoch counters, WAL commit-wait histogram buckets,
-//     write-gate waits, router hit/fallback counts, per-shard op counts,
-//     slow-op capture count).
+//     write-gate waits, per-shard op counts, slow-op capture count).
 //   - The monitor keeps the newest samples in a SeqlockRing
 //     (obs/seqlock_ring.h): readers never block the sampler and never
 //     observe a torn snapshot.
@@ -87,10 +86,6 @@ struct SampledMetrics {
   uint64_t gate_wait_count = 0;
   uint64_t gate_wait_sum_ns = 0;
 
-  // Shard router.
-  uint64_t router_hits = 0;
-  uint64_t router_fallbacks = 0;
-
   // Slow-op trace + shard shape.
   uint64_t slow_ops_captured = 0;
   int64_t size_skew_x100 = 0;  // gauge, largest/mean * 100
@@ -124,12 +119,11 @@ enum class HealthDetector : uint8_t {
   kRetiredGrowth,     // retired-unreclaimed backlog beyond bounds
   kWalCommitWait,     // windowed commit-wait p99 vs EWMA baseline
   kWriteGateWait,     // mean contended write-gate wait spike
-  kRouterFallback,    // model-fallback fraction of routed lookups
   kShardSkew,         // per-shard size or traffic imbalance
   kSlowOpBurst,       // slow-op ring captures per window
   kTierCacheMiss,     // cold-tier cache miss ratio vs EWMA baseline
 };
-constexpr size_t kNumHealthDetectors = 8;
+constexpr size_t kNumHealthDetectors = 7;
 
 inline const char* DetectorName(HealthDetector d) {
   switch (d) {
@@ -137,7 +131,6 @@ inline const char* DetectorName(HealthDetector d) {
     case HealthDetector::kRetiredGrowth: return "retired_growth";
     case HealthDetector::kWalCommitWait: return "wal_commit_wait";
     case HealthDetector::kWriteGateWait: return "write_gate_wait";
-    case HealthDetector::kRouterFallback: return "router_fallback";
     case HealthDetector::kShardSkew: return "shard_skew";
     case HealthDetector::kSlowOpBurst: return "slow_op_burst";
     case HealthDetector::kTierCacheMiss: return "tier_cache_miss";
@@ -273,17 +266,6 @@ inline Observation ObserveGateWait(const SampledMetrics& prev,
               static_cast<double>(waits)};
 }
 
-// Fallback fraction of routed lookups (>= 64 routes).
-inline Observation ObserveRouterFallback(const SampledMetrics& prev,
-                                         const SampledMetrics& cur) {
-  const uint64_t fallbacks =
-      Delta(cur.router_fallbacks, prev.router_fallbacks);
-  const uint64_t routes = Delta(cur.router_hits, prev.router_hits) + fallbacks;
-  if (routes < 64) return {};
-  return {true,
-          static_cast<double>(fallbacks) / static_cast<double>(routes)};
-}
-
 // The worse of size skew (the rebalancer's own largest/mean x100 gauge)
 // and traffic skew: per-shard op deltas over a window of >= 256 ops on
 // >= 2 shards, the overflow slot excluded (it mixes cross-shard ops from
@@ -347,8 +329,6 @@ inline constexpr HealthRule kHealthRules[kNumHealthDetectors] = {
      {/*floor=*/100'000, /*alpha=*/0.25}},
     {HealthDetector::kWriteGateWait, "shard.write_gate_wait_ns",
      internal::ObserveGateWait, 1'000'000, 10'000'000},
-    {HealthDetector::kRouterFallback, "shard.router_fallbacks",
-     internal::ObserveRouterFallback, 0.25, 0.75},
     {HealthDetector::kShardSkew, "shard.size_skew_x100",
      internal::ObserveShardSkew, 400, 1600},
     {HealthDetector::kSlowOpBurst, "slow_ops.captured",
@@ -400,8 +380,6 @@ class HealthMonitor {
     wal_commit_wait_ = registry_->GetHistogram("wal.commit_wait_ns");
     gate_contended_ = registry_->GetCounter("shard.write_gate_contended");
     gate_wait_ = registry_->GetHistogram("shard.write_gate_wait_ns");
-    router_hits_ = registry_->GetCounter("shard.router_model_hits");
-    router_fallbacks_ = registry_->GetCounter("shard.router_fallbacks");
     size_skew_ = registry_->GetGauge("shard.size_skew_x100");
     tier_cache_hits_ = registry_->GetCounter("tier.cache_hits");
     tier_cache_misses_ = registry_->GetCounter("tier.cache_misses");
@@ -572,8 +550,6 @@ class HealthMonitor {
     s.gate_contended = gate_contended_->Load();
     s.gate_wait_count = gate_wait_->Count();
     s.gate_wait_sum_ns = gate_wait_->Sum();
-    s.router_hits = router_hits_->Load();
-    s.router_fallbacks = router_fallbacks_->Load();
     s.slow_ops_captured = registry_->slow_ops().pushed();
     s.size_skew_x100 = size_skew_->Load();
     s.tier_cache_hits = tier_cache_hits_->Load();
@@ -651,8 +627,6 @@ class HealthMonitor {
   Histogram* wal_commit_wait_ = nullptr;
   Counter* gate_contended_ = nullptr;
   Histogram* gate_wait_ = nullptr;
-  Counter* router_hits_ = nullptr;
-  Counter* router_fallbacks_ = nullptr;
   Gauge* size_skew_ = nullptr;
   Counter* tier_cache_hits_ = nullptr;
   Counter* tier_cache_misses_ = nullptr;

@@ -2,12 +2,12 @@
 //
 // A ShardedAlex checkpoint is one segment file (tier/segment.h) per
 // non-empty shard plus this manifest, which records the routing state
-// needed to reassemble the index: the boundary array, the router model (so
-// a load restores the bulk-load-quality model instead of a refit from
-// boundaries), and the per-shard key counts (so a load can detect a
-// segment that was swapped or rebuilt independently of its manifest).
+// needed to reassemble the index: the boundary array (routing is a binary
+// search over it, so the boundaries are the whole router), and the
+// per-shard key counts (so a load can detect a segment that was swapped or
+// rebuilt independently of its manifest).
 //
-// Layout (format v6): ManifestHeader, boundaries (num_shards-1 keys),
+// Layout (format v7): ManifestHeader, boundaries (num_shards-1 keys),
 // per-shard key counts (num_shards uint64s), per-shard WAL ids and
 // checkpoint LSNs (num_shards uint64s each; all zero when the WAL is
 // disabled), per-shard tier tags and segment ids (num_shards uint64s
@@ -17,8 +17,9 @@
 // resident, 1 = cold) only says which form the shard is rebuilt in. A
 // shard with zero keys has no file and loads as an empty resident shard,
 // so a cold tag with zero keys is malformed. Manifests v3 and v4 pointed
-// resident shards at a second, per-shard snapshot format, and v5 used an
-// FNV-1a checksum; all are rejected with kBadVersion, never misloaded.
+// resident shards at a second, per-shard snapshot format, v5 used an
+// FNV-1a checksum, and v3-v6 carried a learned router model in the
+// header; all are rejected with kBadVersion, never misloaded.
 // The WAL fields make the manifest the checkpoint record: shard i's
 // segment captures exactly the effects of its log's records up to
 // checkpoint_lsns[i], so recovery replays only what came after — per
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "core/serialization.h"
-#include "models/linear_model.h"
 
 namespace alex::shard {
 
@@ -53,9 +53,9 @@ inline constexpr uint64_t kManifestMagic = 0x414C455853485244ULL;
 // Version 2 added the per-shard WAL ids and checkpoint LSNs; version 3
 // the topology epoch; version 4 the per-shard tier tags, segment ids and
 // next-segment-id watermark; version 5 made every shard's file a segment;
-// version 6 replaced the FNV-1a checksum with CRC32C, keeping v5's layout.
-// Only v6 is readable.
-inline constexpr uint32_t kManifestVersion = 6;
+// version 6 replaced the FNV-1a checksum with CRC32C, keeping v5's layout;
+// version 7 dropped the router model from the header. Only v7 is readable.
+inline constexpr uint32_t kManifestVersion = 7;
 
 /// Tier tag values stored in ShardManifest::tier_tags.
 inline constexpr uint64_t kTierResident = 0;
@@ -79,8 +79,6 @@ struct ManifestHeader {
   // the index's lifetime; restored by LoadFrom so the epoch is monotone
   // across restarts.
   uint64_t topology_epoch = 0;
-  double router_slope = 0.0;
-  double router_intercept = 0.0;
 };
 
 namespace internal {
@@ -121,7 +119,6 @@ struct ShardManifest {
   /// num_shards long.
   std::vector<uint64_t> tier_tags;
   std::vector<uint64_t> segment_ids;
-  model::LinearModel router_model;
   uint64_t generation = 0;
   uint64_t next_wal_id = 0;
   uint64_t topology_epoch = 0;
@@ -157,8 +154,6 @@ core::SnapshotStatus WriteManifest(const std::string& path,
   header.generation = manifest.generation;
   header.next_wal_id = manifest.next_wal_id;
   header.topology_epoch = manifest.topology_epoch;
-  header.router_slope = manifest.router_model.slope();
-  header.router_intercept = manifest.router_model.intercept();
 
   // The WAL arrays are optional in memory (an index that never enabled
   // the WAL leaves them empty) but fixed-size on disk: pad with zeros.
@@ -317,7 +312,7 @@ core::SnapshotStatus ReadManifest(const std::string& path,
     return core::SnapshotStatus::kChecksumMismatch;
   }
   // Strictly increasing boundaries are the router's precondition (its
-  // binary-search fallback runs over this array); a checksummed-but-
+  // binary search runs over this array); a checksummed-but-
   // malformed manifest from a foreign writer must not misroute.
   for (size_t i = 1; i < out->boundaries.size(); ++i) {
     if (!(out->boundaries[i - 1] < out->boundaries[i])) {
@@ -337,8 +332,6 @@ core::SnapshotStatus ReadManifest(const std::string& path,
   out->next_wal_id = header.next_wal_id;
   out->topology_epoch = header.topology_epoch;
   out->next_segment_id = next_segment_id;
-  out->router_model =
-      model::LinearModel(header.router_slope, header.router_intercept);
   return core::SnapshotStatus::kOk;
 }
 

@@ -1,13 +1,12 @@
-// Learned shard router for the sharded service layer.
+// Shard router for the sharded service layer.
 //
 // The key space is range-partitioned: shard i owns [boundaries[i-1],
-// boundaries[i]) with open ends at both extremes. Routing a key costs one
-// linear-model evaluation (the same two-double model family the index
-// itself uses, models/linear_model.h) verified against the boundary array;
-// when the model's guess is wrong — skewed distributions, or a router
-// refit from boundaries alone after a rebalance — the router falls back to
-// a binary search over the boundaries. Routing is therefore always exact;
-// the model only buys the common case O(1) instead of O(log #shards).
+// boundaries[i]) with open ends at both extremes. Routing a key is one
+// binary search (std::upper_bound) over the boundary array. A learned
+// model pays off over a large sorted array (Kraska et al., "The Case for
+// Learned Index Structures", SIGMOD 2018); over the handful of boundaries
+// a shard table holds, a few comparisons are already the whole cost, and
+// a model evaluated first would mostly have to be corrected by them.
 //
 // Routers are immutable once built and shared read-only across threads; a
 // rebalance builds a new router for its replacement table rather than
@@ -19,9 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "models/linear_model.h"
-#include "obs/metrics.h"
-
 namespace alex::shard {
 
 template <typename K>
@@ -30,33 +26,26 @@ class ShardRouter {
   /// A default router has a single shard: everything routes to 0.
   ShardRouter() = default;
 
-  /// Wraps an existing boundary array and model (used when loading a
-  /// manifest, which persists both).
-  ShardRouter(std::vector<K> boundaries, model::LinearModel model)
-      : boundaries_(std::move(boundaries)), model_(model) {}
+  /// Wraps an existing strictly increasing boundary array (a manifest's,
+  /// or one spliced by a topology transaction).
+  explicit ShardRouter(std::vector<K> boundaries)
+      : boundaries_(std::move(boundaries)) {}
 
   /// Builds a router partitioning `n` strictly-increasing keys into
   /// `num_shards` contiguous ranges of ~n/num_shards keys each;
   /// boundaries[i] = keys[(i+1)*n/num_shards], the first key owned by
-  /// shard i+1. The model is a CDF fit over at most `sample_cap` evenly
-  /// sampled keys, rescaled to predict shard indexes directly. Requires
-  /// n >= num_shards (callers clamp).
+  /// shard i+1. Requires n >= num_shards (callers clamp). The fourth
+  /// argument is unused: it was the learned model's sample cap, and stays
+  /// so callers written against that signature still compile.
   static ShardRouter FitFromSortedKeys(const K* keys, size_t n,
                                        size_t num_shards,
-                                       size_t sample_cap = 4096) {
+                                       size_t /*unused*/ = 0) {
     ShardRouter router;
     if (num_shards <= 1 || n == 0) return router;
     router.boundaries_.reserve(num_shards - 1);
     for (size_t i = 1; i < num_shards; ++i) {
       router.boundaries_.push_back(keys[i * n / num_shards]);
     }
-    const size_t stride = std::max<size_t>(1, n / sample_cap);
-    std::vector<K> sample;
-    sample.reserve(n / stride + 1);
-    for (size_t i = 0; i < n; i += stride) sample.push_back(keys[i]);
-    router.model_ =
-        model::TrainCdfModel(sample.data(), sample.size(), num_shards);
-    ALEX_OBS_COUNTER_INC("shard.router_refits");
     return router;
   }
 
@@ -87,37 +76,11 @@ class ShardRouter {
     return out;
   }
 
-  /// Builds a router from a boundary array alone (the topology-change
-  /// path, where no global sorted key array exists). The model is fit on
-  /// the boundary keys themselves — a coarse CDF, but the binary-search
-  /// fallback keeps routing exact regardless of its quality.
-  static ShardRouter FitFromBoundaries(std::vector<K> boundaries) {
-    model::LinearModelBuilder builder;
-    for (size_t i = 0; i < boundaries.size(); ++i) {
-      builder.Add(static_cast<double>(boundaries[i]),
-                  static_cast<double>(i + 1));
-    }
-    ALEX_OBS_COUNTER_INC("shard.router_refits");
-    return ShardRouter(std::move(boundaries), builder.Build());
-  }
-
   size_t num_shards() const { return boundaries_.size() + 1; }
   const std::vector<K>& boundaries() const { return boundaries_; }
-  const model::LinearModel& model() const { return model_; }
 
-  /// Shard owning `key`: one model evaluation, verified against the
-  /// owning range; binary search over the boundaries when the model
-  /// misses.
+  /// Shard owning `key`: the number of boundaries at or below it.
   size_t Route(K key) const {
-    if (boundaries_.empty()) return 0;
-    const size_t shards = boundaries_.size() + 1;
-    const size_t s = model_.Predict(static_cast<double>(key), shards);
-    if ((s == 0 || !(key < boundaries_[s - 1])) &&
-        (s + 1 == shards || key < boundaries_[s])) {
-      ALEX_OBS_COUNTER_INC("shard.router_model_hits");
-      return s;
-    }
-    ALEX_OBS_COUNTER_INC("shard.router_fallbacks");
     return static_cast<size_t>(
         std::upper_bound(boundaries_.begin(), boundaries_.end(), key) -
         boundaries_.begin());
@@ -127,15 +90,12 @@ class ShardRouter {
   /// below).
   K LowerBoundOf(size_t s) const { return boundaries_[s - 1]; }
 
-  /// Router footprint: the model plus the boundary array (reported under
-  /// index size, like inner-node models).
-  size_t SizeBytes() const {
-    return model::LinearModel::SizeBytes() + boundaries_.size() * sizeof(K);
-  }
+  /// Router footprint: the boundary array (reported under index size,
+  /// like inner-node models).
+  size_t SizeBytes() const { return boundaries_.size() * sizeof(K); }
 
  private:
   std::vector<K> boundaries_;
-  model::LinearModel model_;
 };
 
 }  // namespace alex::shard

@@ -1,5 +1,5 @@
 // Sharded index service layer: N independent ConcurrentAlex shards behind
-// a learned router (ROADMAP "production scale"; the step past the paper's
+// a range router (ROADMAP "production scale"; the step past the paper's
 // single in-process tree that §7 gestures at).
 //
 // Why: even with the lock-free read path, one ConcurrentAlex has
@@ -24,23 +24,24 @@
 // Protocol (mirrors the index's own EBR design one level up):
 //
 //   Routing.   `table_` points at an immutable Table: a ShardRouter (one
-//     linear-model evaluation, binary-search fallback — router.h) plus the
-//     shard array. Readers pin an epoch guard (util/epoch.h), load the
-//     table with one seq_cst load, route, and operate on the shard with no
+//     binary search over the shard boundaries — router.h) plus the shard
+//     array. Readers pin an epoch guard (util/epoch.h), load the table
+//     with one seq_cst load, route, and operate on the shard with no
 //     shard-layer locking of any kind.
 //
 //   Writes.   Writers additionally hold the target shard's `write_gate`
 //     shared for the duration of one committed operation and re-route if
-//     the shard is marked retired. The gate is what lets a rebalance drain
-//     a shard: writers of *other* shards never contend on it, and readers
-//     never touch it. There is no global key counter: size() sums the
-//     per-shard counts, so writes to disjoint shards share no cache line
-//     at the shard layer, and the split skew check (which must read every
-//     shard's size) is amortized to every 1024th key committed into a
-//     shard.
+//     the shard is marked retired; they apply through the dispatch
+//     recovery replays with (Shard::Replay). The gate is what lets a
+//     rebalance drain a shard: writers of *other* shards never contend on
+//     it, and readers never touch it. There is no global key counter:
+//     size() sums the per-shard counts, so writes to disjoint shards share
+//     no cache line at the shard layer, and the split skew check (which
+//     must read every shard's size) is amortized to every 1024th key
+//     committed into a shard.
 //
 //   Topology transactions.   Every topology change — a *split* (one hot
-//     shard → split_ways children, triggered by the skew check or the
+//     shard → kSplitWays children, triggered by the skew check or the
 //     absolute bound), a *merge* (two adjacent cold shards → one child,
 //     triggered by the inverse skew check when erases shrink them under
 //     the configured floor), and an explicit *rebalance* (re-even the
@@ -78,8 +79,9 @@
 //   Durability.   SaveTo quiesces writers (all gates, in shard order)
 //     and writes every non-empty shard as one segment (tier/segment.h,
 //     the repo's only sorted-run format) plus a checksummed manifest
-//     (manifest.h v6) holding the boundaries, router model, per-shard key
-//     counts, tier tags and wal lineage anchors; a cold shard whose
+//     (manifest.h v7) holding the boundaries, per-shard key counts, tier
+//     tags and wal lineage anchors; both commit through one tmp → fsync →
+//     rename → directory-fsync step (CommitDurableFile); a cold shard whose
 //     segment is already durable at the prefix is referenced as-is. A
 //     shard with zero keys has no file. LoadFrom opens and audits every
 //     manifest segment the same way, builds the whole table off to the
@@ -162,6 +164,19 @@
 
 namespace alex::shard {
 
+// Fixed tuning. A split turns its victim into kSplitWays shards. A cold
+// segment block targets kTierBlockBytes (64 records at least). TieringTick
+// demotes a resident shard whose share of the window's traffic fell under
+// kTierDemoteFraction of the fair (1/n) share, and promotes a cold one
+// whose share reached kTierPromoteShare times fair or whose delta overlay
+// holds kTierPromoteDeltaKeys entries (a write-heavy cold shard pays
+// double bookkeeping; bring it back).
+inline constexpr size_t kSplitWays = 2;
+inline constexpr size_t kTierBlockBytes = 4096;
+inline constexpr double kTierDemoteFraction = 0.1;
+inline constexpr double kTierPromoteShare = 1.0;
+inline constexpr size_t kTierPromoteDeltaKeys = 256;
+
 /// Tuning for ShardedAlex.
 struct ShardedOptions {
   /// Shard count targeted by BulkLoad/LoadFrom (rebalances may grow it).
@@ -175,16 +190,12 @@ struct ShardedOptions {
   /// Absolute per-shard size bound (0 = none). Lets a single-shard or
   /// uniformly growing table split even when no relative skew exists.
   size_t max_shard_keys = 1u << 20;
-  /// How many shards one split turns the victim into.
-  size_t split_ways = 2;
   /// Merge two adjacent shards once their *combined* size falls under
   /// this floor (the inverse of the skew check: two cold shards whose
   /// union is still a small shard). 0 disables merges. Keep it at or
   /// below min_rebalance_keys so a fresh merge child cannot immediately
   /// re-trip the split trigger.
   size_t merge_threshold_keys = 0;
-  /// Maximum keys sampled for the bulk-load router model.
-  size_t router_sample_cap = 4096;
   /// Recovery thread-pool width for the per-shard replay (clamped to
   /// the shard count and the hardware concurrency).
   size_t recovery_threads = 8;
@@ -198,24 +209,12 @@ struct ShardedOptions {
   /// Block-cache capacity in bytes for cold-segment reads (see
   /// tier/block_cache.h). Size it to the hot portion of the cold tier.
   size_t tier_cache_bytes = 16u << 20;
-  /// Target cold-segment block size in bytes; the per-block key count is
-  /// derived as max(64, tier_block_bytes / sizeof(record)).
-  size_t tier_block_bytes = 4096;
   /// Directory/prefix where demotion writes its segment files. Empty
   /// defers to the WAL prefix; demotion fails when neither is set.
   std::string tier_prefix;
   /// TieringTick never demotes a shard holding fewer keys than this
   /// (tiny shards are not worth a segment file).
   size_t tier_min_demote_keys = 1024;
-  /// TieringTick demotes a resident shard whose share of the window's
-  /// traffic fell under `tier_demote_fraction` of the fair (1/n) share.
-  double tier_demote_fraction = 0.1;
-  /// TieringTick promotes a cold shard whose share of the window's
-  /// traffic reached `tier_promote_share` times the fair share ...
-  double tier_promote_share = 1.0;
-  /// ... or whose delta overlay accumulated this many resident entries
-  /// (a write-heavy cold shard pays double bookkeeping; bring it back).
-  size_t tier_promote_delta_keys = 256;
   /// TieringTick is a no-op until the traffic window since the previous
   /// tick holds at least this many routed operations.
   uint64_t tier_min_window_ops = 1024;
@@ -223,7 +222,7 @@ struct ShardedOptions {
   core::Config shard_config;
 };
 
-/// A range-partitioned, learned-routed collection of ConcurrentAlex
+/// A range-partitioned, range-routed collection of ConcurrentAlex
 /// shards. All methods are safe to call from any thread. Point operations
 /// are linearizable; scans are read-committed (see the protocol above).
 template <typename K, typename P>
@@ -259,20 +258,7 @@ class ShardedAlex {
   /// last_wal_error().
   void BulkLoad(const K* keys, const P* payloads, size_t n) {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    const size_t shards =
-        std::max<size_t>(1, std::min(options_.num_shards,
-                                     std::max<size_t>(n, 1)));
-    auto* next = new Table();
-    next->router = ShardRouter<K>::FitFromSortedKeys(
-        keys, n, shards, options_.router_sample_cap);
-    next->shards.reserve(shards);
-    for (size_t j = 0; j < shards; ++j) {
-      const size_t lo = j * n / shards;
-      const size_t hi = (j + 1) * n / shards;
-      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
-      shard->index.BulkLoad(keys + lo, payloads + lo, hi - lo);
-      next->shards.push_back(std::move(shard));
-    }
+    std::unique_ptr<Table> next = BuildEvenTable(keys, payloads, n);
     if (wal_enabled_ && !AttachFreshLogs(&next->shards, /*parents=*/{})) {
       // Could not open log files: surface the error and stop logging
       // rather than silently running some shards unlogged.
@@ -282,23 +268,10 @@ class ShardedAlex {
       ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, 0, 0,
                      static_cast<int>(wal::WalStatus::kIoError), 0);
     }
-    Table* old = table_.exchange(next, std::memory_order_seq_cst);
-    util::EpochManager::Guard guard(epoch_);
-    // Drain in-flight writers of every old shard and mark it retired so
-    // stragglers re-route into the new table; once every gate has cycled,
-    // no further commit can land in the old table. The sealed logs keep
-    // the old lineage replayable until the checkpoint below supersedes
-    // it.
-    for (const auto& shard : old->shards) {
-      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
-      shard->retired.store(true, std::memory_order_seq_cst);
-      if (shard->log != nullptr) {
-        retired_commit_wait_.Merge(shard->log->CommitWaitHistogram());
-        shard->log->Seal();
-      }
-    }
-    epoch_.Retire(old);
-    epoch_.TryReclaim();
+    [[maybe_unused]] const size_t shards = next->shards.size();
+    // The sealed logs keep the old lineage replayable until the
+    // checkpoint below supersedes it.
+    PublishAndRetireAll(std::move(next));
     ALEX_OBS_EVENT(obs::EventType::kBulkLoad, obs::kShardAll, 0, 0, n,
                    shards);
     if (wal_enabled_ &&
@@ -320,44 +293,11 @@ class ShardedAlex {
   /// on top of the shard's own insert path. When the commit leaves the
   /// target shard oversized, the split runs synchronously on this thread
   /// before returning (the relative skew check itself is amortized — see
-  /// MaybeSplit).
+  /// MaybeSplit). The record replays as insert-if-absent, so a logged
+  /// duplicate that fails here is a no-op on replay too.
   bool Insert(K key, const P& payload) {
-    obs::ScopedOpTimer op_timer(obs::OpType::kInsert);
-    util::EpochManager::Guard guard(epoch_);
-    while (true) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(key);
-      op_timer.set_shard(static_cast<uint32_t>(idx));
-      Shard* shard = table->shards[idx].get();
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) {
-        continue;  // raced a rebalance/bulk load: re-route
-      }
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      // Log-before-apply: the record replays as insert-if-absent, so a
-      // duplicate that fails below is a no-op on replay too.
-      if (!LogWrite(shard, wal::WalRecordType::kInsert, key, &payload)) {
-        return false;
-      }
-      if (shard->cold()) {
-        // Cold shards absorb writes into the delta overlay; the skew
-        // check is moot (tiering owns their lifecycle).
-        return shard->TierInsert(key, payload);
-      }
-      const bool inserted = shard->index.Insert(key, payload);
-      gate.unlock();
-      if (!inserted) return false;
-      // The shard-local commit counter makes the amortized skew check
-      // deterministic: exactly one committing thread observes each
-      // kSkewCheckInterval-th commit, however commits interleave.
-      const uint64_t commit =
-          shard->commit_count.fetch_add(1, std::memory_order_relaxed) + 1;
-      MaybeSplit(table, shard, key,
-                 (commit & (kSkewCheckInterval - 1)) == 0);
-      return true;
-    }
+    return RoutedWrite(obs::OpType::kInsert, wal::WalRecordType::kInsert, key,
+                       &payload);
   }
 
   /// Removes `key`; false when absent. An erase that leaves the target
@@ -366,52 +306,14 @@ class ShardedAlex {
   /// skew check, the check is amortized to every kSkewCheckInterval-th
   /// commit into the shard.
   bool Erase(K key) {
-    obs::ScopedOpTimer op_timer(obs::OpType::kErase);
-    util::EpochManager::Guard guard(epoch_);
-    while (true) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(key);
-      op_timer.set_shard(static_cast<uint32_t>(idx));
-      Shard* shard = table->shards[idx].get();
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) continue;
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      if (!LogWrite(shard, wal::WalRecordType::kErase, key, nullptr)) {
-        return false;
-      }
-      if (shard->cold()) return shard->TierErase(key);
-      const bool erased = shard->index.Erase(key);
-      gate.unlock();
-      if (!erased) return false;
-      const uint64_t commit =
-          shard->commit_count.fetch_add(1, std::memory_order_relaxed) + 1;
-      MaybeMerge(key, (commit & (kSkewCheckInterval - 1)) == 0);
-      return true;
-    }
+    return RoutedWrite(obs::OpType::kErase, wal::WalRecordType::kErase, key,
+                       nullptr);
   }
 
   /// Overwrites an existing payload; false when absent.
   bool Update(K key, const P& payload) {
-    obs::ScopedOpTimer op_timer(obs::OpType::kUpdate);
-    util::EpochManager::Guard guard(epoch_);
-    while (true) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(key);
-      op_timer.set_shard(static_cast<uint32_t>(idx));
-      Shard* shard = table->shards[idx].get();
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) continue;
-      shard->traffic.fetch_add(1, std::memory_order_relaxed);
-      if (!LogWrite(shard, wal::WalRecordType::kUpdate, key, &payload)) {
-        return false;
-      }
-      if (shard->cold()) return shard->TierUpdate(key, payload);
-      return shard->index.Update(key, payload);
-    }
+    return RoutedWrite(obs::OpType::kUpdate, wal::WalRecordType::kUpdate, key,
+                       &payload);
   }
 
   // ---- Batched operations ----
@@ -422,9 +324,9 @@ class ShardedAlex {
   // Costs amortized per run instead of per key: one write-gate shared
   // lock, one WAL group-commit batch (one write(2) + at most one
   // fdatasync(2) for the whole run), and — inside the shard — one epoch
-  // guard with one leaf latch per leaf run. The router is still evaluated
-  // once per key (run boundaries come from the router's own shard lower
-  // bounds, one comparison per key). Batches are not atomic as a unit;
+  // guard with one leaf latch per leaf run. The router runs once per run;
+  // the run ends at the first key reaching the next shard's lower bound
+  // (one comparison per key). Batches are not atomic as a unit;
   // each key linearizes individually, exactly like the scalar ops.
 
   /// Batched Get. Fills `payloads[i]`/`found[i]` per key (caller order);
@@ -473,125 +375,18 @@ class ShardedAlex {
   /// is applied, and a failed batch fails the whole run closed.
   size_t MultiInsert(const K* keys, const P* payloads, size_t n,
                      bool* inserted = nullptr) {
-    if (n == 0) return 0;
-    obs::ScopedOpTimer op_timer(obs::OpType::kMultiInsert);
-    std::vector<size_t> order;
-    std::vector<K> sorted_keys;
-    SortBatch(keys, n, &order, &sorted_keys);
-    std::vector<P> sorted_payloads(n);
-    for (size_t k = 0; k < n; ++k) sorted_payloads[k] = payloads[order[k]];
-    const std::unique_ptr<bool[]> run_ok(new bool[n]());
-    size_t count = 0;
-    util::EpochManager::Guard guard(epoch_);
-    size_t i = 0;
-    while (i < n) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(sorted_keys[i]);
-      Shard* shard = table->shards[idx].get();
-      const size_t j = RunEnd(table, idx, sorted_keys, i);
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) {
-        continue;  // raced a topology transaction: re-route from key i
-      }
-      const size_t len = j - i;
-      shard->traffic.fetch_add(len, std::memory_order_relaxed);
-      if (!LogWriteBatch(shard, wal::WalRecordType::kInsert,
-                         sorted_keys.data() + i, sorted_payloads.data() + i,
-                         len)) {
-        i = j;  // fail the run closed; later runs surface the same error
-        continue;
-      }
-      if (shard->cold()) {
-        size_t run_count = 0;
-        for (size_t k = i; k < j; ++k) {
-          run_ok[k] = shard->TierInsert(sorted_keys[k], sorted_payloads[k]);
-          run_count += run_ok[k] ? 1 : 0;
-        }
-        gate.unlock();
-        count += run_count;
-        i = j;
-        continue;  // no skew check: tiering owns cold shards
-      }
-      const size_t run_inserted = shard->index.MultiInsert(
-          sorted_keys.data() + i, sorted_payloads.data() + i, len,
-          run_ok.get() + i);
-      gate.unlock();
-      count += run_inserted;
-      i = j;
-      if (run_inserted > 0) {
-        const uint64_t before = shard->commit_count.fetch_add(
-            run_inserted, std::memory_order_relaxed);
-        // The scalar path checks the skew on every kSkewCheckInterval-th
-        // commit; a batch increment can jump the counter past the exact
-        // multiple, so the tick fires when the run crossed one.
-        MaybeSplit(table, shard, sorted_keys[i - 1],
-                   CrossedSkewInterval(before, run_inserted));
-      }
-    }
-    if (inserted != nullptr) {
-      for (size_t k = 0; k < n; ++k) inserted[order[k]] = run_ok[k];
-    }
-    return count;
+    return RoutedBatchWrite(obs::OpType::kMultiInsert,
+                            wal::WalRecordType::kInsert, keys, payloads, n,
+                            inserted);
   }
 
   /// Batched Erase; `erased[i]` (when non-null, caller order) reports
   /// per-key success. Returns the number erased. One WAL group-commit
   /// batch per shard run, like MultiInsert.
   size_t MultiErase(const K* keys, size_t n, bool* erased = nullptr) {
-    if (n == 0) return 0;
-    obs::ScopedOpTimer op_timer(obs::OpType::kMultiErase);
-    std::vector<size_t> order;
-    std::vector<K> sorted_keys;
-    SortBatch(keys, n, &order, &sorted_keys);
-    const std::unique_ptr<bool[]> run_ok(new bool[n]());
-    size_t count = 0;
-    util::EpochManager::Guard guard(epoch_);
-    size_t i = 0;
-    while (i < n) {
-      Table* table = table_.load(std::memory_order_seq_cst);
-      const size_t idx = table->router.Route(sorted_keys[i]);
-      Shard* shard = table->shards[idx].get();
-      const size_t j = RunEnd(table, idx, sorted_keys, i);
-      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
-                                 "shard.write_gate_contended",
-                                 "shard.write_gate_wait_ns");
-      if (shard->retired.load(std::memory_order_seq_cst)) continue;
-      const size_t len = j - i;
-      shard->traffic.fetch_add(len, std::memory_order_relaxed);
-      if (!LogWriteBatch(shard, wal::WalRecordType::kErase,
-                         sorted_keys.data() + i, nullptr, len)) {
-        i = j;
-        continue;
-      }
-      if (shard->cold()) {
-        size_t run_count = 0;
-        for (size_t k = i; k < j; ++k) {
-          run_ok[k] = shard->TierErase(sorted_keys[k]);
-          run_count += run_ok[k] ? 1 : 0;
-        }
-        gate.unlock();
-        count += run_count;
-        i = j;
-        continue;
-      }
-      const size_t run_erased = shard->index.MultiErase(
-          sorted_keys.data() + i, len, run_ok.get() + i);
-      gate.unlock();
-      count += run_erased;
-      i = j;
-      if (run_erased > 0) {
-        const uint64_t before = shard->commit_count.fetch_add(
-            run_erased, std::memory_order_relaxed);
-        MaybeMerge(sorted_keys[i - 1],
-                   CrossedSkewInterval(before, run_erased));
-      }
-    }
-    if (erased != nullptr) {
-      for (size_t k = 0; k < n; ++k) erased[order[k]] = run_ok[k];
-    }
-    return count;
+    return RoutedBatchWrite(obs::OpType::kMultiErase,
+                            wal::WalRecordType::kErase, keys, nullptr, n,
+                            erased);
   }
 
   /// Copies the payload of `key` into `*out`; returns false when absent.
@@ -616,7 +411,8 @@ class ShardedAlex {
     op_timer.set_shard(static_cast<uint32_t>(idx));
     Shard* shard = table->shards[idx].get();
     shard->traffic.fetch_add(1, std::memory_order_relaxed);
-    return shard->TierContains(key, &block_cache_);
+    P ignored;
+    return shard->TierGet(key, &ignored, &block_cache_);
   }
 
   /// Cross-shard streaming scan of [lo, hi], visiting every record in
@@ -715,7 +511,8 @@ class ShardedAlex {
   /// topology transaction as splits and merges. One transaction handles
   /// at most wal::kMaxTopologyParents victims (a child's lineage record
   /// must name every one); a wider range is clamped — call again to
-  /// continue. Returns false when the range maps to a single shard, a
+  /// continue. Cold victims are promoted first, as for every topology
+  /// transaction. Returns false when the range maps to a single shard, a
   /// rival transaction is in flight, or the victims hold fewer keys
   /// than shards.
   bool Rebalance(K lo_key, K hi_key) {
@@ -729,8 +526,7 @@ class ShardedAlex {
     const size_t hi = std::min(table->router.Route(hi_key) + 1,
                                lo + wal::kMaxTopologyParents);
     if (hi - lo < 2) return false;
-    return ExecuteTopologyTxn(TopologyOp::kRebalance, table, lo, hi,
-                              hi - lo);
+    return ExecuteTopologyTxn(TopologyOp::kRebalance, lo, hi, hi - lo);
   }
 
   // ---- Tiered storage ----
@@ -751,15 +547,13 @@ class ShardedAlex {
   /// shard is already cold; kIoError when the shard is empty, no prefix
   /// is configured, or the segment cannot be written durably.
   core::SnapshotStatus DemoteShard(size_t idx) {
-    std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    return DemoteShardLocked(idx);
+    return TierTransition(idx, &ShardedAlex::DemoteShardLocked);
   }
 
   /// Promotes cold shard `idx` back to a resident ConcurrentAlex built
   /// from the merged segment+overlay stream. kOk when already resident.
   core::SnapshotStatus PromoteShard(size_t idx) {
-    std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    return PromoteShardLocked(idx);
+    return TierTransition(idx, &ShardedAlex::PromoteShardLocked);
   }
 
   /// Compacts cold shard `idx`: folds its delta overlay into a fresh
@@ -768,8 +562,7 @@ class ShardedAlex {
   /// dropped to zero is promoted to an empty resident shard instead
   /// (a zero-key shard has no segment).
   core::SnapshotStatus CompactShard(size_t idx) {
-    std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    return CompactShardLocked(idx);
+    return TierTransition(idx, &ShardedAlex::CompactShardLocked);
   }
 
   /// Compacts every cold shard with a dirty overlay; returns how many
@@ -784,10 +577,10 @@ class ShardedAlex {
     const size_t shards =
         table_.load(std::memory_order_seq_cst)->shards.size();
     for (size_t i = 0; i < shards; ++i) {
+      // Compactions replace shards in place: the count stays `shards`.
       Table* table = table_.load(std::memory_order_seq_cst);
-      if (i >= table->shards.size()) break;
       Shard* shard = table->shards[i].get();
-      if (!shard->cold() || shard->DeltaClean()) continue;
+      if (!shard->cold() || shard->DeltaEntries() == 0) continue;
       if (CompactShardLocked(i) == core::SnapshotStatus::kOk) ++ran;
     }
     return ran;
@@ -796,10 +589,10 @@ class ShardedAlex {
   /// One pass of the traffic-driven tiering policy. Reads each shard's
   /// routed-operation count since the previous tick; when the window
   /// holds at least options.tier_min_window_ops, demotes resident
-  /// shards whose share fell under tier_demote_fraction of fair (and
+  /// shards whose share fell under kTierDemoteFraction of fair (and
   /// that hold tier_min_demote_keys keys), and promotes cold shards
-  /// whose share reached tier_promote_share of fair or whose overlay
-  /// grew past tier_promote_delta_keys entries. Returns the number of
+  /// whose share reached kTierPromoteShare of fair or whose overlay
+  /// grew past kTierPromoteDeltaKeys entries. Returns the number of
   /// tier transitions; skips (returns 0) when a rival topology
   /// transaction holds the rebalance lock.
   size_t TieringTick() {
@@ -834,16 +627,16 @@ class ShardedAlex {
       if (shard->cold()) {
         const bool hot_again =
             static_cast<double>(window[i]) >=
-            fair * options_.tier_promote_share;
+            fair * kTierPromoteShare;
         const bool overlay_heavy =
-            shard->DeltaEntries() >= options_.tier_promote_delta_keys;
+            shard->DeltaEntries() >= kTierPromoteDeltaKeys;
         if ((hot_again || overlay_heavy) &&
             PromoteShardLocked(i) == core::SnapshotStatus::kOk) {
           ++transitions;
         }
       } else {
         const bool idle = static_cast<double>(window[i]) <=
-                          fair * options_.tier_demote_fraction;
+                          fair * kTierDemoteFraction;
         if (idle && shard->TierSize() >= options_.tier_min_demote_keys &&
             DemoteShardLocked(i) == core::SnapshotStatus::kOk) {
           ++transitions;
@@ -904,12 +697,7 @@ class ShardedAlex {
   /// Bytes held in cold-tier segment files (the live table's).
   uint64_t ColdBytes() const {
     util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    uint64_t bytes = 0;
-    for (const auto& shard : table->shards) {
-      if (shard->cold()) bytes += shard->segment->file_bytes();
-    }
-    return bytes;
+    return ColdBytesOf(table_.load(std::memory_order_seq_cst));
   }
 
   uint64_t demotion_count() const {
@@ -1113,22 +901,7 @@ class ShardedAlex {
         keys.push_back(key);
         payloads.push_back(payload);
       }
-      const size_t shards = std::max<size_t>(
-          1, std::min(options_.num_shards,
-                      std::max<size_t>(keys.size(), 1)));
-      next = std::make_unique<Table>();
-      next->router = ShardRouter<K>::FitFromSortedKeys(
-          keys.data(), keys.size(), shards, options_.router_sample_cap);
-      next->shards.reserve(shards);
-      for (size_t j = 0; j < shards; ++j) {
-        const size_t lo = j * keys.size() / shards;
-        const size_t hi = (j + 1) * keys.size() / shards;
-        auto shard =
-            std::make_shared<Shard>(options_.shard_config, &epoch_);
-        shard->index.BulkLoad(keys.data() + lo, payloads.data() + lo,
-                              hi - lo);
-        next->shards.push_back(std::move(shard));
-      }
+      next = BuildEvenTable(keys.data(), payloads.data(), keys.size());
     } else {
       // Boundary-preserving recovery: the manifest's boundary array IS
       // the recovered topology, and each shard replays independently
@@ -1152,18 +925,9 @@ class ShardedAlex {
     {
       uint64_t floor_segment_id =
           have_manifest ? manifest.next_segment_id : 0;
-      std::string dir, base;
-      wal::SplitPrefixPath(prefix, &dir, &base);
-      std::vector<std::string> names;
-      if (wal::ListDirectory(dir, &names)) {
-        for (const std::string& name : names) {
-          uint64_t id = 0;
-          bool is_tmp = false;
-          if (tier::ParseSegmentFileName(name, base, &id, &is_tmp)) {
-            floor_segment_id = std::max(floor_segment_id, id + 1);
-          }
-        }
-      }
+      ForEachSegmentFile(prefix, [&](const std::string&, uint64_t id, bool) {
+        floor_segment_id = std::max(floor_segment_id, id + 1);
+      });
       if (floor_segment_id > next_segment_id_) {
         next_segment_id_ = floor_segment_id;
       }
@@ -1175,19 +939,7 @@ class ShardedAlex {
     wal_enabled_ = false;
     quiesce.clear();
     [[maybe_unused]] const size_t recovered_shards = next->shards.size();
-    Table* old = table_.exchange(next.release(),
-                                 std::memory_order_seq_cst);
-    util::EpochManager::Guard guard(epoch_);
-    for (const auto& shard : old->shards) {
-      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
-      shard->retired.store(true, std::memory_order_seq_cst);
-      if (shard->log != nullptr) {
-        retired_commit_wait_.Merge(shard->log->CommitWaitHistogram());
-        shard->log->Seal();
-      }
-    }
-    epoch_.Retire(old);
-    epoch_.TryReclaim();
+    PublishAndRetireAll(std::move(next));
     ALEX_OBS_EVENT(obs::EventType::kRecovery, obs::kShardAll, 0, 0,
                    journal_replayed, recovered_shards);
     return core::SnapshotStatus::kOk;
@@ -1380,6 +1132,12 @@ class ShardedAlex {
 
     bool cold() const { return segment != nullptr; }
 
+    /// True for a cold shard whose segment file is the one at `prefix`.
+    bool SegmentAt(const std::string& prefix) const {
+      return cold() &&
+             segment->path() == tier::SegmentPath(prefix, segment->id());
+    }
+
     uint64_t TierSize() const {
       return cold() ? cold_live.load(std::memory_order_relaxed)
                     : index.size();
@@ -1418,11 +1176,6 @@ class ShardedAlex {
         }
       }
       return SegmentGet(key, out, cache);
-    }
-
-    bool TierContains(const K& key, tier::BlockCache* cache) const {
-      P ignored;
-      return TierGet(key, &ignored, cache);
     }
 
     // Cold-shard writes mutate only the overlay, under its exclusive
@@ -1479,27 +1232,25 @@ class ShardedAlex {
       return true;
     }
 
-    /// Applies one replayed WAL record with ApplyWalRecord's semantics
-    /// (insert-if-absent, overwrite-if-present, erase) through the write
-    /// path of the shard's tier: the overlay of a cold shard, the tree of
-    /// a resident one. Recovery only; the caller owns the shard.
-    void Replay(const wal::WalRecord<K, P>& rec) {
-      switch (rec.type) {
+    /// The one (record type, tier) → operation dispatch, for live writes
+    /// (gate held shared, record logged) and recovery alike: ApplyWalRecord
+    /// semantics through a cold shard's overlay or a resident one's tree.
+    /// True when the write changed the shard.
+    bool Replay(wal::WalRecordType type, const K& key, const P* payload) {
+      switch (type) {
         case wal::WalRecordType::kInsert:
-          cold() ? TierInsert(rec.key, rec.payload)
-                 : index.Insert(rec.key, rec.payload);
-          break;
+          return cold() ? TierInsert(key, *payload)
+                        : index.Insert(key, *payload);
         case wal::WalRecordType::kUpdate:
-          cold() ? TierUpdate(rec.key, rec.payload)
-                 : index.Update(rec.key, rec.payload);
-          break;
+          return cold() ? TierUpdate(key, *payload)
+                        : index.Update(key, *payload);
         case wal::WalRecordType::kErase:
-          cold() ? TierErase(rec.key) : index.Erase(rec.key);
-          break;
+          return cold() ? TierErase(key) : index.Erase(key);
         default:
-          break;
+          return false;
       }
     }
+
 
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
     /// snapshotted under the shared lock (so the segment stream — which
@@ -1544,11 +1295,6 @@ class ShardedAlex {
       });
       if (more) emit_overlay_below(nullptr);
       return count;
-    }
-
-    bool DeltaClean() const {
-      std::shared_lock<std::shared_mutex> lock(delta_mutex);
-      return delta.empty();
     }
 
     size_t DeltaEntries() const {
@@ -1628,20 +1374,60 @@ class ShardedAlex {
                          : shard->index.Aggregate(lo, hi, spec);
   }
 
+  // ---- Whole-table replacement (BulkLoad, LoadFrom) ----
+
+  /// A fresh table holding `n` strictly-increasing keys partitioned
+  /// evenly across (at most) options.num_shards shards.
+  std::unique_ptr<Table> BuildEvenTable(const K* keys, const P* payloads,
+                                        size_t n) const {
+    const size_t shards =
+        std::max<size_t>(1, std::min(options_.num_shards,
+                                     std::max<size_t>(n, 1)));
+    auto next = std::make_unique<Table>();
+    next->router = ShardRouter<K>::FitFromSortedKeys(keys, n, shards);
+    next->shards.reserve(shards);
+    for (size_t j = 0; j < shards; ++j) {
+      const size_t lo = j * n / shards;
+      const size_t hi = (j + 1) * n / shards;
+      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
+      shard->index.BulkLoad(keys + lo, payloads + lo, hi - lo);
+      next->shards.push_back(std::move(shard));
+    }
+    return next;
+  }
+
+  /// Publishes `next` for the whole live table. Every old shard's gate is
+  /// then drained, the shard marked retired (stragglers re-route into
+  /// `next`) and its log sealed: no commit can land in the old table,
+  /// which retires through EBR. Caller holds rebalance_mutex_.
+  void PublishAndRetireAll(std::unique_ptr<Table> next) {
+    Table* old = table_.exchange(next.release(), std::memory_order_seq_cst);
+    util::EpochManager::Guard guard(epoch_);
+    for (const auto& shard : old->shards) {
+      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
+      shard->retired.store(true, std::memory_order_seq_cst);
+      if (shard->log != nullptr) {
+        retired_commit_wait_.Merge(shard->log->CommitWaitHistogram());
+        shard->log->Seal();
+      }
+    }
+    epoch_.Retire(old);
+    epoch_.TryReclaim();
+  }
+
   // ---- WAL plumbing ----
 
-  /// Logs one write (no-op while the WAL is off). Called with the
-  /// shard's gate held shared, which is what orders it against
+  /// Logs one record or one shard run's batch through `append(log)`
+  /// (no-op while the WAL is off) and records the first failure. Called
+  /// with the shard's gate held shared, which is what orders it against
   /// checkpoints: a checkpoint's exclusive gate waits out the whole
-  /// log+apply pair. False = the record could not be committed; the
-  /// caller must fail the operation (fail closed, never apply an
-  /// unlogged write).
-  bool LogWrite(Shard* shard, wal::WalRecordType type, const K& key,
-                const P* payload) {
+  /// log+apply pair. False = the write could not be committed; the caller
+  /// must fail it (fail closed, never apply an unlogged write). The log
+  /// feeds the op-context's wal_wait_ns from its own commit-wait clock.
+  template <typename Append>
+  bool LogWrite(Shard* shard, Append&& append) {
     if (shard->log == nullptr) return true;
-    // The log itself feeds the op-context's wal_wait_ns from the commit
-    // wait it already measures — no extra clock reads here.
-    const wal::WalStatus status = shard->log->Log(type, key, payload);
+    const wal::WalStatus status = append(*shard->log);
     if (status == wal::WalStatus::kOk) return true;
     wal::WalStatus expected = wal::WalStatus::kOk;
     last_wal_error_.compare_exchange_strong(expected, status,
@@ -1652,22 +1438,125 @@ class ShardedAlex {
     return false;
   }
 
-  /// Batched LogWrite: the whole shard run group-commits as one WAL
-  /// batch (ShardLog::LogBatch). Same fail-closed contract as LogWrite,
-  /// applied to the run as a unit.
-  bool LogWriteBatch(Shard* shard, wal::WalRecordType type, const K* keys,
-                     const P* payloads, size_t n) {
-    if (shard->log == nullptr) return true;
-    const wal::WalStatus status =
-        shard->log->LogBatch(type, keys, payloads, n);
-    if (status == wal::WalStatus::kOk) return true;
-    wal::WalStatus expected = wal::WalStatus::kOk;
-    last_wal_error_.compare_exchange_strong(expected, status,
-                                            std::memory_order_relaxed);
-    ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll,
-                   shard->log->wal_id(), shard->log->last_lsn(),
-                   static_cast<int>(status), 0);
-    return false;
+  /// The one write path of Insert, Erase and Update: route, gate shared
+  /// (timed), re-route off a retired shard, count traffic, log, apply
+  /// (Shard::Replay), release the gate, run the post-commit step.
+  bool RoutedWrite(obs::OpType op, wal::WalRecordType type, K key,
+                   const P* payload) {
+    obs::ScopedOpTimer op_timer(op);
+    util::EpochManager::Guard guard(epoch_);
+    while (true) {
+      Table* table = table_.load(std::memory_order_seq_cst);
+      const size_t idx = table->router.Route(key);
+      op_timer.set_shard(static_cast<uint32_t>(idx));
+      Shard* shard = table->shards[idx].get();
+      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
+                                 "shard.write_gate_contended",
+                                 "shard.write_gate_wait_ns");
+      if (shard->retired.load(std::memory_order_seq_cst)) {
+        continue;  // raced a topology or tier transaction: re-route
+      }
+      shard->traffic.fetch_add(1, std::memory_order_relaxed);
+      if (!LogWrite(shard, [&](wal::ShardLog<K, P>& log) {
+            return log.Log(type, key, payload);
+          })) {
+        return false;
+      }
+      const bool applied = shard->Replay(type, key, payload);
+      gate.unlock();
+      AfterCommit(table, shard, type, key, applied ? 1 : 0);
+      return applied;
+    }
+  }
+
+  /// The one shard-run loop of MultiInsert and MultiErase (`payloads`
+  /// null for erases): each run goes through RoutedWrite's steps, logged
+  /// as one batch.
+  size_t RoutedBatchWrite(obs::OpType op, wal::WalRecordType type,
+                          const K* keys, const P* payloads, size_t n,
+                          bool* ok) {
+    if (n == 0) return 0;
+    obs::ScopedOpTimer op_timer(op);
+    std::vector<size_t> order;
+    std::vector<K> sorted_keys;
+    SortBatch(keys, n, &order, &sorted_keys);
+    std::vector<P> sorted_payloads(payloads != nullptr ? n : 0);
+    for (size_t k = 0; k < sorted_payloads.size(); ++k) {
+      sorted_payloads[k] = payloads[order[k]];
+    }
+    const std::unique_ptr<bool[]> run_ok(new bool[n]());
+    size_t count = 0;
+    util::EpochManager::Guard guard(epoch_);
+    size_t i = 0;
+    while (i < n) {
+      Table* table = table_.load(std::memory_order_seq_cst);
+      const size_t idx = table->router.Route(sorted_keys[i]);
+      Shard* shard = table->shards[idx].get();
+      const size_t j = RunEnd(table, idx, sorted_keys, i);
+      ALEX_OBS_TIMED_SHARED_LOCK(gate, shard->write_gate,
+                                 "shard.write_gate_contended",
+                                 "shard.write_gate_wait_ns");
+      if (shard->retired.load(std::memory_order_seq_cst)) {
+        continue;  // raced a topology transaction: re-route from key i
+      }
+      const size_t len = j - i;
+      shard->traffic.fetch_add(len, std::memory_order_relaxed);
+      const K* run_keys = sorted_keys.data() + i;
+      const P* run_payloads =
+          payloads != nullptr ? sorted_payloads.data() + i : nullptr;
+      bool* run_applied = run_ok.get() + i;
+      size_t applied = 0;
+      // A failed batch fails the run closed; later runs surface the same
+      // error. A resident shard applies the run through its batched path.
+      const bool logged = LogWrite(shard, [&](wal::ShardLog<K, P>& log) {
+        return log.LogBatch(type, run_keys, run_payloads, len);
+      });
+      if (logged && !shard->cold()) {
+        applied = type == wal::WalRecordType::kInsert
+                      ? shard->index.MultiInsert(run_keys, run_payloads, len,
+                                                 run_applied)
+                      : shard->index.MultiErase(run_keys, len, run_applied);
+      } else if (logged) {
+        for (size_t k = 0; k < len; ++k) {
+          run_applied[k] = shard->Replay(
+              type, run_keys[k], run_payloads ? run_payloads + k : nullptr);
+          applied += run_applied[k] ? 1 : 0;
+        }
+      }
+      gate.unlock();
+      count += applied;
+      i = j;
+      AfterCommit(table, shard, type, sorted_keys[i - 1], applied);
+    }
+    if (ok != nullptr) {
+      for (size_t k = 0; k < n; ++k) ok[order[k]] = run_ok[k];
+    }
+    return count;
+  }
+
+  /// The post-commit step of scalar and batched writes, run with the gate
+  /// released (MaybeSplit takes rebalance_mutex_, then gates exclusive):
+  /// inserts may split the shard, erases merge it. Cold shards (tiering
+  /// owns their lifecycle) and updates skip it. The shard-local commit
+  /// counter makes the amortized check deterministic: exactly one
+  /// committing thread observes each kSkewCheckInterval-th commit.
+  void AfterCommit(Table* table, Shard* shard, wal::WalRecordType type,
+                   K last_key, size_t committed) {
+    if (committed == 0 || shard->cold() ||
+        type == wal::WalRecordType::kUpdate) {
+      return;
+    }
+    // Tick when (before, before + committed] holds a multiple of the
+    // interval: a batched increment can jump past the exact multiple.
+    const uint64_t before =
+        shard->commit_count.fetch_add(committed, std::memory_order_relaxed);
+    const bool tick = before / kSkewCheckInterval !=
+                      (before + committed) / kSkewCheckInterval;
+    if (type == wal::WalRecordType::kInsert) {
+      MaybeSplit(table, shard, last_key, tick);
+    } else {
+      MaybeMerge(last_key, tick);
+    }
   }
 
   // ---- Batch plumbing ----
@@ -1699,15 +1588,6 @@ class ShardedAlex {
     size_t j = i + 1;
     while (j < n && sorted_keys[j] < next_lo) ++j;
     return j;
-  }
-
-  /// True when (before, before + delta] contains a multiple of
-  /// kSkewCheckInterval — the batch analogue of the scalar path's
-  /// `commit % kSkewCheckInterval == 0` tick, which a batched counter
-  /// increment could otherwise jump past.
-  static bool CrossedSkewInterval(uint64_t before, uint64_t delta) {
-    return before / kSkewCheckInterval !=
-           (before + delta) / kSkewCheckInterval;
   }
 
   /// Opens one fresh log (new wal id, seq 1, LSN 0) per shard and
@@ -1831,8 +1711,8 @@ class ShardedAlex {
     return resident;
   }
 
-  /// Rebuilds the table with the manifest's exact boundary array and
-  /// router model, each shard recovered independently and in one way:
+  /// Rebuilds the table with the manifest's exact boundary array, each
+  /// shard recovered independently and in one way:
   /// its audited segment (`(*segments)[i]`, null for a zero-key shard)
   /// plus every log lineage rooted at its checkpoint anchor, replayed in
   /// ascending wal-id order through the shard's own write semantics — the
@@ -1903,8 +1783,7 @@ class ShardedAlex {
 
     const size_t n = manifest.num_shards();
     auto next = std::make_unique<Table>();
-    next->router =
-        ShardRouter<K>(manifest.boundaries, manifest.router_model);
+    next->router = ShardRouter<K>(manifest.boundaries);
     next->shards.resize(n);
     rep->shards.assign(n, wal::ShardReplayStats{});
     Table* next_raw = next.get();
@@ -1932,7 +1811,7 @@ class ShardedAlex {
             ++stats.records_skipped;
             continue;
           }
-          shard->Replay(rec);
+          shard->Replay(rec.type, rec.key, &rec.payload);
           ++stats.records_replayed;
         }
       }
@@ -1974,7 +1853,6 @@ class ShardedAlex {
       next_segment_id_ = std::max(next_segment_id_, previous.next_segment_id);
     }
     manifest.boundaries = table->router.boundaries();
-    manifest.router_model = table->router.model();
     manifest.next_wal_id = wal_checkpoint ? next_wal_id_ : 0;
     manifest.topology_epoch =
         topology_epoch_.load(std::memory_order_relaxed);
@@ -1983,9 +1861,7 @@ class ShardedAlex {
       Shard* shard = table->shards[i].get();
       const uint64_t n = shard->TierSize();
       uint64_t segment_id = 0;
-      if (shard->cold() && shard->DeltaClean() &&
-          shard->segment->path() ==
-              tier::SegmentPath(prefix, shard->segment->id())) {
+      if (shard->SegmentAt(prefix) && shard->DeltaEntries() == 0) {
         // Clean overlay, segment already durable at this prefix (the
         // demotion/compaction that built it committed it): reference it
         // as-is — the checkpoint writes zero bytes for this shard.
@@ -1997,14 +1873,9 @@ class ShardedAlex {
         // segments it supersedes are deleted below). The live shard is
         // untouched; only the manifest references the copy. A shard with
         // zero keys has no file.
-        std::vector<K> keys;
-        std::vector<P> payloads;
-        DrainShard(shard, &keys, &payloads);
         std::shared_ptr<tier::ColdSegment<K, P>> sealed;
-        segment_id = next_segment_id_++;
         const core::SnapshotStatus status =
-            WriteAndOpenSegment(prefix, segment_id, keys.data(),
-                                payloads.data(), keys.size(), &sealed);
+            WriteAndOpenSegment(prefix, shard, &segment_id, &sealed);
         if (status != core::SnapshotStatus::kOk) return status;
       }
       manifest.shard_keys.push_back(n);
@@ -2024,27 +1895,13 @@ class ShardedAlex {
       }
     }
     manifest.next_segment_id = next_segment_id_;
-    // Commit: write the manifest beside its final name, then rename over
-    // it (atomic replace on POSIX).
-    const std::string tmp = ManifestPath(prefix) + ".tmp";
-    const core::SnapshotStatus status = WriteManifest(tmp, manifest);
+    // Only once committed may the cleanup below destroy what the
+    // checkpoint superseded.
+    const core::SnapshotStatus status = CommitDurableFile(
+        prefix, ManifestPath(prefix), [&](const std::string& tmp) {
+          return WriteManifest(tmp, manifest);
+        });
     if (status != core::SnapshotStatus::kOk) return status;
-    if (!wal::SyncPath(tmp)) {
-      std::remove(tmp.c_str());
-      return core::SnapshotStatus::kIoError;
-    }
-    if (std::rename(tmp.c_str(), ManifestPath(prefix).c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return core::SnapshotStatus::kIoError;
-    }
-    // Persist the rename itself: only now is the checkpoint durably
-    // committed and the cleanup below allowed to destroy what it
-    // superseded.
-    {
-      std::string dir, base;
-      wal::SplitPrefixPath(prefix, &dir, &base);
-      if (!wal::SyncPath(dir)) return core::SnapshotStatus::kIoError;
-    }
     {
       // Committed: journal the checkpoint with the highest LSN any shard
       // anchored (the point recovery replays from).
@@ -2108,56 +1965,57 @@ class ShardedAlex {
   }
 
   // ---- Tier lifecycle (all called with rebalance_mutex_ held) ----
-
-  /// Where demotion writes segment files.
-  std::string TierPrefix() const {
-    return options_.tier_prefix.empty() ? wal_prefix_
-                                        : options_.tier_prefix;
-  }
-
-  /// Keys per cold-segment block, from the configured byte target.
-  size_t KeysPerBlock() const {
-    return std::max<size_t>(
-        64, options_.tier_block_bytes / (sizeof(K) + sizeof(P)));
-  }
-
-  void UpdateColdBytesGauge(const Table* table) const {
-    [[maybe_unused]] uint64_t bytes = 0;
+  static uint64_t ColdBytesOf(const Table* table) {
+    uint64_t bytes = 0;
     for (const auto& shard : table->shards) {
       if (shard->cold()) bytes += shard->segment->file_bytes();
     }
-    ALEX_OBS_GAUGE_SET("tier.cold_bytes", static_cast<double>(bytes));
+    return bytes;
   }
 
-  /// Writes `n` records as segment `id` at `prefix`: staged under a
-  /// .tmp name, fsynced, renamed into place, directory-fsynced — the
-  /// same commit discipline as the manifest. On success opens the
-  /// segment and returns it through `*out`.
-  core::SnapshotStatus WriteAndOpenSegment(
-      const std::string& prefix, uint64_t id, const K* keys,
-      const P* payloads, size_t n,
-      std::shared_ptr<tier::ColdSegment<K, P>>* out) const {
-    const std::string path = tier::SegmentPath(prefix, id);
+  /// The one commit for durable files (segments, the manifest):
+  /// `write(tmp)` stages the bytes beside `path`; the stage is fsynced,
+  /// renamed into place (atomic on POSIX) and the directory of `prefix`
+  /// fsynced. A stage that cannot be synced or renamed is removed.
+  template <typename Write>
+  static core::SnapshotStatus CommitDurableFile(const std::string& prefix,
+                                                const std::string& path,
+                                                Write&& write) {
     const std::string tmp = path + ".tmp";
-    core::SnapshotStatus status =
-        tier::WriteSegmentFile<K, P>(tmp, keys, payloads, n,
-                                     KeysPerBlock());
+    const core::SnapshotStatus status = write(tmp);
     if (status != core::SnapshotStatus::kOk) return status;
-    if (!wal::SyncPath(tmp)) {
+    if (!wal::SyncPath(tmp) || std::rename(tmp.c_str(), path.c_str()) != 0) {
       std::remove(tmp.c_str());
       return core::SnapshotStatus::kIoError;
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-      std::remove(tmp.c_str());
-      return core::SnapshotStatus::kIoError;
-    }
-    {
-      std::string dir, base;
-      wal::SplitPrefixPath(prefix, &dir, &base);
-      if (!wal::SyncPath(dir)) return core::SnapshotStatus::kIoError;
-    }
+    std::string dir, base;
+    wal::SplitPrefixPath(prefix, &dir, &base);
+    return wal::SyncPath(dir) ? core::SnapshotStatus::kOk
+                              : core::SnapshotStatus::kIoError;
+  }
+
+  /// Drains `shard` (its gate held exclusive by the caller) into a fresh
+  /// segment at `prefix`, committed under a new id (`*id`) and opened
+  /// into `*out`. kIoError for an empty shard: a zero-key shard has no
+  /// segment.
+  core::SnapshotStatus WriteAndOpenSegment(
+      const std::string& prefix, const Shard* shard, uint64_t* id,
+      std::shared_ptr<tier::ColdSegment<K, P>>* out) const {
+    std::vector<K> keys;
+    std::vector<P> payloads;
+    DrainShard(shard, &keys, &payloads);
+    if (keys.empty()) return core::SnapshotStatus::kIoError;
+    *id = next_segment_id_++;
+    const std::string path = tier::SegmentPath(prefix, *id);
+    core::SnapshotStatus status =
+        CommitDurableFile(prefix, path, [&](const std::string& tmp) {
+          return tier::WriteSegmentFile<K, P>(
+              tmp, keys.data(), payloads.data(), keys.size(),
+              std::max<size_t>(64, kTierBlockBytes / (sizeof(K) + sizeof(P))));
+        });
+    if (status != core::SnapshotStatus::kOk) return status;
     auto segment = std::make_shared<tier::ColdSegment<K, P>>();
-    status = segment->Open(path, id);
+    status = segment->Open(path, *id);
     if (status != core::SnapshotStatus::kOk) {
       std::remove(path.c_str());
       return status;
@@ -2187,34 +2045,58 @@ class ShardedAlex {
     gate->unlock();
     epoch_.Retire(table);
     epoch_.TryReclaim();
-    UpdateColdBytesGauge(next);
+    ALEX_OBS_GAUGE_SET("tier.cold_bytes",
+                       static_cast<double>(ColdBytesOf(next)));
   }
 
-  core::SnapshotStatus DemoteShardLocked(size_t idx) {
-    util::EpochManager::Guard guard(epoch_);
-    Table* table = table_.load(std::memory_order_seq_cst);
-    if (idx >= table->shards.size()) {
-      return core::SnapshotStatus::kIoError;
-    }
-    Shard* victim = table->shards[idx].get();
-    if (victim->cold()) return core::SnapshotStatus::kOk;
-    const std::string prefix = TierPrefix();
+  /// The sealing step of demotion and compaction: drains shard `idx` of
+  /// `table` under its exclusive gate into a fresh segment at the tier
+  /// prefix and publishes a cold shard over it (ReplaceShard), reporting
+  /// the record count and segment id. kIoError without a prefix or for
+  /// an empty shard.
+  core::SnapshotStatus SealToSegment(Table* table, size_t idx, size_t* n,
+                                     uint64_t* seg_id) {
+    // Demotion writes at the tier prefix, defaulting to the WAL prefix.
+    const std::string& prefix =
+        options_.tier_prefix.empty() ? wal_prefix_ : options_.tier_prefix;
     if (prefix.empty()) return core::SnapshotStatus::kIoError;
+    Shard* victim = table->shards[idx].get();
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    DrainShard(victim, &keys, &payloads);
-    const size_t n = keys.size();
-    if (n == 0) return core::SnapshotStatus::kIoError;  // nothing to seal
-    const uint64_t seg_id = next_segment_id_++;
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
-    const core::SnapshotStatus status = WriteAndOpenSegment(
-        prefix, seg_id, keys.data(), payloads.data(), n, &segment);
+    const core::SnapshotStatus status =
+        WriteAndOpenSegment(prefix, victim, seg_id, &segment);
     if (status != core::SnapshotStatus::kOk) return status;
+    *n = segment->num_keys();
     auto cold = std::make_shared<Shard>(options_.shard_config, &epoch_);
     cold->segment = std::move(segment);
-    cold->cold_live.store(n, std::memory_order_relaxed);
+    cold->cold_live.store(*n, std::memory_order_relaxed);
     ReplaceShard(table, idx, std::move(cold), &gate);
+    return core::SnapshotStatus::kOk;
+  }
+
+  /// The public face of a tier transition: takes the rebalance lock and
+  /// an epoch guard, then runs `locked` on shard `idx` (kIoError for an
+  /// index past the table).
+  core::SnapshotStatus TierTransition(
+      size_t idx, core::SnapshotStatus (ShardedAlex::*locked)(size_t)) {
+    std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
+    util::EpochManager::Guard guard(epoch_);
+    if (idx >= table_.load(std::memory_order_seq_cst)->shards.size()) {
+      return core::SnapshotStatus::kIoError;
+    }
+    return (this->*locked)(idx);
+  }
+
+  // The *Locked tier transitions: caller holds rebalance_mutex_ and an
+  // epoch guard, and `idx` names a shard of the current table.
+
+  core::SnapshotStatus DemoteShardLocked(size_t idx) {
+    Table* table = table_.load(std::memory_order_seq_cst);
+    if (table->shards[idx]->cold()) return core::SnapshotStatus::kOk;
+    size_t n = 0;
+    uint64_t seg_id = 0;
+    const core::SnapshotStatus status = SealToSegment(table, idx, &n, &seg_id);
+    if (status != core::SnapshotStatus::kOk) return status;
     demotions_.fetch_add(1, std::memory_order_relaxed);
     ALEX_OBS_COUNTER_INC("tier.demotions");
     ALEX_OBS_EVENT(obs::EventType::kTierDemotion,
@@ -2225,11 +2107,7 @@ class ShardedAlex {
   }
 
   core::SnapshotStatus PromoteShardLocked(size_t idx) {
-    util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
-    if (idx >= table->shards.size()) {
-      return core::SnapshotStatus::kIoError;
-    }
     Shard* victim = table->shards[idx].get();
     if (!victim->cold()) return core::SnapshotStatus::kOk;
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
@@ -2251,42 +2129,26 @@ class ShardedAlex {
   }
 
   core::SnapshotStatus CompactShardLocked(size_t idx) {
-    util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
-    if (idx >= table->shards.size()) {
-      return core::SnapshotStatus::kIoError;
-    }
     Shard* victim = table->shards[idx].get();
     if (!victim->cold()) return core::SnapshotStatus::kOk;
-    if (victim->DeltaClean()) return core::SnapshotStatus::kOk;
+    if (victim->DeltaEntries() == 0) return core::SnapshotStatus::kOk;
     if (victim->TierSize() == 0) {
       // Everything erased: a zero-key shard has no segment, so the
       // compacted form of this shard is an empty resident one.
       return PromoteShardLocked(idx);
     }
-    const std::string prefix = TierPrefix();
-    if (prefix.empty()) return core::SnapshotStatus::kIoError;
-    std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    std::vector<K> keys;
-    std::vector<P> payloads;
-    DrainShard(victim, &keys, &payloads);
     const uint64_t old_segment = victim->segment->id();
-    const uint64_t seg_id = next_segment_id_++;
-    std::shared_ptr<tier::ColdSegment<K, P>> segment;
-    const core::SnapshotStatus status =
-        WriteAndOpenSegment(prefix, seg_id, keys.data(), payloads.data(),
-                            keys.size(), &segment);
+    size_t n = 0;
+    uint64_t seg_id = 0;
+    const core::SnapshotStatus status = SealToSegment(table, idx, &n, &seg_id);
     if (status != core::SnapshotStatus::kOk) return status;
-    auto cold = std::make_shared<Shard>(options_.shard_config, &epoch_);
-    cold->segment = std::move(segment);
-    cold->cold_live.store(keys.size(), std::memory_order_relaxed);
-    ReplaceShard(table, idx, std::move(cold), &gate);
     block_cache_.EraseSegment(old_segment);
     compactions_.fetch_add(1, std::memory_order_relaxed);
     ALEX_OBS_COUNTER_INC("tier.compactions");
     ALEX_OBS_EVENT(obs::EventType::kTierCompaction,
                    static_cast<uint32_t>(idx), 0, 0,
-                   static_cast<int64_t>(keys.size()),
+                   static_cast<int64_t>(n),
                    static_cast<int64_t>(seg_id));
     return core::SnapshotStatus::kOk;
   }
@@ -2299,12 +2161,20 @@ class ShardedAlex {
                           std::vector<uint64_t> keep,
                           const Table* table) const {
     for (const auto& shard : table->shards) {
-      if (shard->cold() &&
-          shard->segment->path() ==
-              tier::SegmentPath(prefix, shard->segment->id())) {
-        keep.push_back(shard->segment->id());
-      }
+      if (shard->SegmentAt(prefix)) keep.push_back(shard->segment->id());
     }
+    ForEachSegmentFile(prefix, [&](const std::string& path, uint64_t id,
+                                   bool is_tmp) {
+      if (is_tmp ||
+          std::find(keep.begin(), keep.end(), id) == keep.end()) {
+        std::remove(path.c_str());
+      }
+    });
+  }
+
+  /// Calls fn(path, id, is_tmp) for every segment file at `prefix`.
+  template <typename Fn>
+  static void ForEachSegmentFile(const std::string& prefix, Fn&& fn) {
     std::string dir, base;
     wal::SplitPrefixPath(prefix, &dir, &base);
     std::vector<std::string> names;
@@ -2312,10 +2182,8 @@ class ShardedAlex {
     for (const std::string& name : names) {
       uint64_t id = 0;
       bool is_tmp = false;
-      if (!tier::ParseSegmentFileName(name, base, &id, &is_tmp)) continue;
-      if (is_tmp ||
-          std::find(keep.begin(), keep.end(), id) == keep.end()) {
-        std::remove((dir + "/" + name).c_str());
+      if (tier::ParseSegmentFileName(name, base, &id, &is_tmp)) {
+        fn(dir + "/" + name, id, is_tmp);
       }
     }
   }
@@ -2389,8 +2257,7 @@ class ShardedAlex {
                      TotalKeys(current), current->shards.size())) {
       return;
     }
-    ExecuteTopologyTxn(TopologyOp::kSplit, current, idx, idx + 1,
-                       std::max<size_t>(2, options_.split_ways));
+    ExecuteTopologyTxn(TopologyOp::kSplit, idx, idx + 1, kSplitWays);
   }
 
   /// Post-erase merge trigger, amortized exactly like the split skew
@@ -2423,17 +2290,7 @@ class ShardedAlex {
                      current->shards[lo + 1]->TierSize())) {
       return;
     }
-    // Topology transactions stream their victims' ConcurrentAlex trees;
-    // promote a cold victim first (a merge victim is tiny by
-    // definition, so this is cheap and rare).
-    for (size_t i = lo; i < lo + 2; ++i) {
-      if (current->shards[i]->cold() &&
-          PromoteShardLocked(i) != core::SnapshotStatus::kOk) {
-        return;
-      }
-    }
-    current = table_.load(std::memory_order_seq_cst);
-    ExecuteTopologyTxn(TopologyOp::kMerge, current, lo, lo + 2, 1);
+    ExecuteTopologyTxn(TopologyOp::kMerge, lo, lo + 2, 1);
   }
 
   /// Which maintenance module a topology transaction runs; all three
@@ -2441,12 +2298,12 @@ class ShardedAlex {
   enum class TopologyOp { kSplit, kMerge, kRebalance };
 
   /// The one protocol every topology change runs through: replaces the
-  /// adjacent victim shards [lo, hi) of `table` (the current table,
-  /// loaded under rebalance_mutex_) with `ways` children holding the
-  /// same keys, evenly partitioned. Caller holds rebalance_mutex_ and
-  /// an epoch guard. Returns true when the replacement table was
-  /// published; false aborts cleanly (too few keys to partition, or
-  /// child log files could not be opened).
+  /// adjacent victim shards [lo, hi) of the current table with `ways`
+  /// children holding the same keys, evenly partitioned. Caller holds
+  /// rebalance_mutex_ and an epoch guard. Returns true when the
+  /// replacement table was published; false aborts cleanly (a cold
+  /// victim could not be promoted, too few keys to partition, or child
+  /// log files could not be opened).
   ///
   /// The protocol's invariants are asserted here and nowhere else:
   ///   - victims' gates are drained (held exclusive) before their logs
@@ -2456,16 +2313,22 @@ class ShardedAlex {
   ///   - parents are retired only after every child's segment file is
   ///     durable in the directory (ShardLog::Open fsyncs the directory
   ///     entry before returning).
-  bool ExecuteTopologyTxn(TopologyOp op, Table* table, size_t lo,
-                          size_t hi, size_t ways) {
-    assert(lo < hi && hi <= table->shards.size());
+  bool ExecuteTopologyTxn(TopologyOp op, size_t lo, size_t hi,
+                          size_t ways) {
     assert(ways >= 1);
     // Victims must be resident: the build step streams their trees, and
     // a cold shard's log/segment hand-off is the tier transitions' job.
-    // Callers promote first (MaybeMerge) or simply skip cold shards.
+    // Promote cold victims first (cheap and rare: merge victims are tiny
+    // by definition); a promotion replaces one shard in place, so
+    // [lo, hi) still names the victims in the reloaded table.
     for (size_t i = lo; i < hi; ++i) {
-      if (table->shards[i]->cold()) return false;
+      if (table_.load(std::memory_order_seq_cst)->shards[i]->cold() &&
+          PromoteShardLocked(i) != core::SnapshotStatus::kOk) {
+        return false;
+      }
     }
+    Table* table = table_.load(std::memory_order_seq_cst);
+    assert(lo < hi && hi <= table->shards.size());
     // Drain: victims' write gates exclusive, ascending — in-flight
     // writers finish, new ones wait here or re-route after publish.
     std::vector<std::unique_lock<std::shared_mutex>> gates;
@@ -2555,9 +2418,8 @@ class ShardedAlex {
     }
     // Publish: one store; readers pick the new table up immediately.
     auto* next = new Table();
-    next->router = ShardRouter<K>::FitFromBoundaries(
-        ShardRouter<K>::SpliceBoundaries(table->router.boundaries(), lo,
-                                         hi, split_keys));
+    next->router = ShardRouter<K>(ShardRouter<K>::SpliceBoundaries(
+        table->router.boundaries(), lo, hi, split_keys));
     next->shards.reserve(table->shards.size() - (hi - lo) + ways);
     next->shards.insert(next->shards.end(), table->shards.begin(),
                         table->shards.begin() +
@@ -2591,27 +2453,21 @@ class ShardedAlex {
       case TopologyOp::kSplit:
         rebalances_.fetch_add(1, std::memory_order_relaxed);
         ALEX_OBS_COUNTER_INC("shard.topology_splits");
-        ALEX_OBS_EVENT(obs::EventType::kTopologySplit, lo,
-                       parent_ids.empty() ? 0 : parent_ids[0],
-                       drained_lsns.empty() ? 0 : drained_lsns[0], hi - lo,
-                       ways);
         break;
       case TopologyOp::kMerge:
         merges_.fetch_add(1, std::memory_order_relaxed);
         ALEX_OBS_COUNTER_INC("shard.topology_merges");
-        ALEX_OBS_EVENT(obs::EventType::kTopologyMerge, lo,
-                       parent_ids.empty() ? 0 : parent_ids[0],
-                       drained_lsns.empty() ? 0 : drained_lsns[0], hi - lo,
-                       ways);
         break;
       case TopologyOp::kRebalance:
         ALEX_OBS_COUNTER_INC("shard.topology_rebalances");
-        ALEX_OBS_EVENT(obs::EventType::kTopologyRebalance, lo,
-                       parent_ids.empty() ? 0 : parent_ids[0],
-                       drained_lsns.empty() ? 0 : drained_lsns[0], hi - lo,
-                       ways);
         break;
     }
+    [[maybe_unused]] const obs::EventType event =
+        op == TopologyOp::kSplit   ? obs::EventType::kTopologySplit
+        : op == TopologyOp::kMerge ? obs::EventType::kTopologyMerge
+                                   : obs::EventType::kTopologyRebalance;
+    ALEX_OBS_EVENT(event, lo, parent_ids.empty() ? 0 : parent_ids[0],
+                   drained_lsns.empty() ? 0 : drained_lsns[0], hi - lo, ways);
     topology_epoch_.fetch_add(1, std::memory_order_relaxed);
     // The old table (and, once no newer table shares them, its replaced
     // shards) is freed only after every reader that could hold it

@@ -171,7 +171,7 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
   EXPECT_EQ(monitor_->ring().pushed(), 1u);
 
   // Each detector names the same metric on the first sample as when it
-  // fires. One window seeds the two baseline rules while the other six
+  // fires. One window seeds the two baseline rules while the other five
   // fire; the next regresses both baseline rules. shard_skew fires on the
   // size gauge here: its traffic variant names its own metric
   // (ShardTrafficSkewNamesItsOwnMetric).
@@ -191,7 +191,6 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
     cursor_.gate_contended += 8;
     cursor_.gate_wait_count += 8;
     cursor_.gate_wait_sum_ns += 8 * 20'000'000;
-    cursor_.router_fallbacks += 100;
     cursor_.size_skew_x100 = 2000;
     cursor_.slow_ops_captured += 100;
     Inject();
@@ -295,26 +294,6 @@ TEST_F(HealthTest, WriteGateWaitEdges) {
   window(1'000);  // healthy again
   EXPECT_EQ(LevelOf(HealthDetector::kWriteGateWait), HealthLevel::kOk);
   ExpectCanonicalEdges(HealthDetector::kWriteGateWait);
-}
-
-TEST_F(HealthTest, RouterFallbackEdges) {
-  Inject();
-  auto window = [&](uint64_t hits, uint64_t fallbacks) {
-    cursor_.router_hits += hits;
-    cursor_.router_fallbacks += fallbacks;
-    Inject();
-  };
-  window(70, 30);  // 30% fallback
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kWarn);
-  window(10, 90);  // 90%
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kCritical);
-  window(100, 0);
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kOk);
-  ExpectCanonicalEdges(HealthDetector::kRouterFallback);
-  // Below the minimum route count the rule never judges.
-  cursor_.router_fallbacks += 10;  // 10 routes, all fallbacks
-  Inject();
-  EXPECT_EQ(LevelOf(HealthDetector::kRouterFallback), HealthLevel::kOk);
 }
 
 TEST_F(HealthTest, ShardSizeSkewEdges) {

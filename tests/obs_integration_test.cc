@@ -98,9 +98,6 @@ TEST_F(ObsIntegrationTest, MixedWorkloadLightsAtLeastTwelveMetrics) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   EXPECT_GE(reg.NonZeroMetricCount(), 12u);
   // Spot-check one metric per instrumented layer.
-  EXPECT_GT(reg.GetCounter("shard.router_model_hits")->Load() +
-                reg.GetCounter("shard.router_fallbacks")->Load(),
-            0u);
   EXPECT_GT(reg.GetCounter("shard.topology_splits")->Load(), 0u);
   EXPECT_GT(reg.GetCounter("wal.bytes_written")->Load(), 0u);
   EXPECT_GT(reg.GetCounter("wal.fsyncs")->Load(), 0u);

@@ -87,8 +87,8 @@ TEST(ShardRouterTest, BoundaryKeysRouteToUpperShard) {
 }
 
 TEST(ShardRouterTest, FallbackKeepsSkewedDistributionsExact) {
-  // Heavily skewed keys make the linear model useless; routing must stay
-  // exact through the binary-search fallback.
+  // Heavily skewed keys (two dense clusters far apart): routing must stay
+  // exact.
   std::vector<int64_t> keys;
   for (int64_t i = 0; i < 2000; ++i) keys.push_back(i);
   for (int64_t i = 0; i < 2000; ++i) {
@@ -104,7 +104,7 @@ TEST(ShardRouterTest, FallbackKeepsSkewedDistributionsExact) {
 
 TEST(ShardRouterTest, FitFromBoundariesRoutesExactly) {
   std::vector<int64_t> bounds = {100, 200, 1000, 50000};
-  const auto router = ShardRouter<int64_t>::FitFromBoundaries(bounds);
+  const ShardRouter<int64_t> router(bounds);
   EXPECT_EQ(router.num_shards(), 5u);
   for (int64_t probe : {-5LL, 0LL, 99LL, 100LL, 150LL, 200LL, 999LL,
                         1000LL, 49999LL, 50000LL, 1000000LL}) {

@@ -3,11 +3,12 @@
 // mixed hot/cold topology, overlay write semantics (tombstones,
 // revival), the demote/promote/compact lifecycle, checkpoint + recovery
 // with tier preservation, zero-key shards that checkpoint without a
-// file, the manifest v6 round-trip and the rejection of v3-v5 manifests,
+// file, the manifest v7 round-trip and the rejection of v3-v6 manifests,
 // crash-injection stray-segment sweeping, the
 // compaction-shrinks-replay acceptance criterion, the traffic-driven
-// tiering policy, and a TSan target reading cold shards during
-// concurrent tier transitions.
+// tiering policy, a rebalance over a cold shard, and two TSan targets:
+// cold reads and logged writes of every kind during concurrent tier
+// transitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -522,11 +523,26 @@ TEST(TieredAlexTest, ZeroKeyShardsCheckpointWithoutFiles) {
 
 // ---- Manifest formats ----
 
-/// Writes `manifest` in the v3 on-disk format (no tier arrays, no
-/// next-segment-id watermark) — the layout v3-era builds produced.
+/// The manifest header of v3-v6, which still carried the router model.
+struct LegacyManifestHeader {
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  uint32_t key_size = 0;
+  uint64_t num_shards = 0;
+  uint64_t total_keys = 0;
+  uint64_t generation = 0;
+  uint64_t next_wal_id = 0;
+  uint64_t topology_epoch = 0;
+  double router_slope = 0.0;
+  double router_intercept = 0.0;
+};
+
+/// Writes `manifest` in the v3 on-disk format (legacy header, no tier
+/// arrays, no next-segment-id watermark) — the layout v3-era builds
+/// produced.
 void WriteV3Manifest(const std::string& path,
                      const ShardManifest<int64_t>& manifest) {
-  ManifestHeader header;
+  LegacyManifestHeader header;
   header.magic = internal::kManifestMagic;
   header.version = 3;
   header.key_size = sizeof(int64_t);
@@ -535,8 +551,6 @@ void WriteV3Manifest(const std::string& path,
   header.generation = manifest.generation;
   header.next_wal_id = manifest.next_wal_id;
   header.topology_epoch = manifest.topology_epoch;
-  header.router_slope = manifest.router_model.slope();
-  header.router_intercept = manifest.router_model.intercept();
   std::vector<uint64_t> wal_ids = manifest.wal_ids;
   std::vector<uint64_t> checkpoint_lsns = manifest.checkpoint_lsns;
   wal_ids.resize(manifest.num_shards(), 0);
@@ -576,7 +590,7 @@ void WriteV3Manifest(const std::string& path,
   ASSERT_EQ(std::fclose(f), 0);
 }
 
-TEST(TieredAlexTest, ManifestV6RoundTripsTierState) {
+TEST(TieredAlexTest, ManifestV7RoundTripsTierState) {
   ShardManifest<int64_t> manifest;
   manifest.boundaries = {1000, 2000};
   manifest.shard_keys = {400, 600, 0};
@@ -587,7 +601,7 @@ TEST(TieredAlexTest, ManifestV6RoundTripsTierState) {
   manifest.segment_ids = {8, 9, 0};
   manifest.next_segment_id = 10;
   manifest.generation = 2;
-  const std::string path = TempPrefix("tier-manifest-v6") + ".manifest";
+  const std::string path = TempPrefix("tier-manifest-v7") + ".manifest";
   ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
 
   ShardManifest<int64_t> loaded;
@@ -616,10 +630,12 @@ TEST(TieredAlexTest, ManifestV6RoundTripsTierState) {
   std::remove(path.c_str());
 }
 
-/// Rewrites the current manifest at `path` as a well-formed one of
-/// `version` 4 or 5: both share the current layout and sealed it with the
-/// pre-CRC32C digest (v4 pointed resident shards at per-shard snapshot
-/// files; v5 differs from v6 only in the checksum).
+/// Rewrites the current manifest at `path` under an older `version`
+/// number (4, 5 or 6), resealed with the pre-CRC32C digest. v4 pointed
+/// resident shards at per-shard snapshot files, v5 differs from v6 only in
+/// the checksum, and v4-v6 headers also held the router model that v7
+/// dropped; the reader rejects the version word before it reads anything
+/// past it, so the rest of the layout does not matter here.
 void RewriteAsOldManifest(const std::string& path, uint32_t version) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -649,7 +665,7 @@ TEST(TieredAlexTest, OldManifestVersionsAreRejected) {
   WriteV3Manifest(path, manifest);
   ShardManifest<int64_t> loaded;
   EXPECT_EQ(ReadManifest<int64_t>(path, &loaded), SnapshotStatus::kBadVersion);
-  for (const uint32_t version : {4u, 5u}) {
+  for (const uint32_t version : {4u, 5u, 6u}) {
     SCOPED_TRACE(version);
     ASSERT_EQ(WriteManifest(path, manifest), SnapshotStatus::kOk);
     RewriteAsOldManifest(path, version);
@@ -667,7 +683,7 @@ TEST(TieredAlexTest, OldManifestVersionsAreRejected) {
   ShardManifest<int64_t> saved;
   ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &saved),
             SnapshotStatus::kOk);
-  for (const uint32_t version : {3u, 4u, 5u}) {
+  for (const uint32_t version : {3u, 4u, 5u, 6u}) {
     SCOPED_TRACE(version);
     if (version == 3) {
       WriteV3Manifest(Sharded::ManifestPath(prefix), saved);
@@ -927,6 +943,144 @@ TEST(TieredAlexTest, ColdReadsDuringConcurrentTierTransitions) {
     ASSERT_TRUE(index.Get(keys[i], &got));
     ASSERT_EQ(got, payloads[i]);
   }
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(TieredAlexTest, RebalanceOverAColdShardPromotesIt) {
+  // Rebalance re-evens any multi-shard range; a cold victim is promoted
+  // first, as in every topology transaction, and its overlay writes
+  // survive the move.
+  const std::string prefix = TempPrefix("tier-rebalance-cold");
+  test_util::RemovePrefixFiles(prefix);
+  Sharded index(TierOpts(4, prefix));
+  auto oracle = BulkLoadStride3(&index, 8000);
+  ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+  const std::vector<int64_t> bounds = index.ShardBoundaries();
+  ASSERT_EQ(bounds.size(), 3u);
+  // Skew shard 1 through its overlay: gap-key inserts and one erase.
+  for (int64_t k = bounds[0] + 1; k < bounds[0] + 3000; k += 3) {
+    ASSERT_TRUE(index.Insert(k, -k));
+    oracle[k] = -k;
+  }
+  ASSERT_TRUE(index.Erase(bounds[0]));
+  oracle.erase(bounds[0]);
+  ASSERT_TRUE(index.IsShardCold(1));
+
+  ASSERT_TRUE(index.Rebalance(bounds[0], bounds[1]));
+  EXPECT_EQ(index.num_shards(), 4u);
+  EXPECT_EQ(index.cold_shard_count(), 0u);
+  EXPECT_EQ(index.topology_epoch(), 1u);
+  EXPECT_EQ(index.ShardBoundaries().front(), bounds.front());
+  EXPECT_EQ(index.ShardBoundaries().back(), bounds.back());
+  EXPECT_NE(index.ShardBoundaries()[1], bounds[1]);
+  EXPECT_TRUE(index.CheckInvariants());
+  ExpectMatchesOracle(index, oracle);
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(TieredAlexTest, ConcurrentWritersDuringTierTransitions) {
+  // Four logging writers on disjoint keys (key % 4 names the owner) run
+  // every write kind while a fifth thread cycles both shards through
+  // demote → compact → promote. Writes that race a transition re-route
+  // off the retired shard on either tier; every return value must match
+  // the writer's own oracle, and so must the contents, live and after
+  // recovery from the WAL.
+  const std::string prefix = TempPrefix("tier-write-race");
+  test_util::RemovePrefixFiles(prefix);
+  constexpr int kWriters = 4;
+  constexpr int64_t kKeySpace = 6000;
+  std::map<int64_t, int64_t> oracles[kWriters];
+  const auto merged = [&] {
+    std::map<int64_t, int64_t> all;
+    for (const auto& oracle : oracles) all.insert(oracle.begin(), oracle.end());
+    return all;
+  };
+  {
+    Sharded index(TierOpts(2, prefix));
+    for (const auto& [k, v] : BulkLoadStride3(&index, kKeySpace / 3)) {
+      oracles[k % kWriters][k] = v;
+    }
+    ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> ops{0};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kWriters; ++t) {
+      writers.emplace_back([&, t] {
+        std::map<int64_t, int64_t>& oracle = oracles[t];
+        std::mt19937_64 rng(4200 + t);
+        const auto pick = [&] {
+          return static_cast<int64_t>(rng() % (kKeySpace / kWriters)) *
+                     kWriters + t;
+        };
+        while (!stop.load(std::memory_order_relaxed)) {
+          const int64_t k = pick();
+          const int64_t v = static_cast<int64_t>(rng() % 1000000);
+          const bool present = oracle.count(k) > 0;
+          switch (rng() % 5) {
+            case 0:
+              EXPECT_EQ(index.Insert(k, v), !present) << k;
+              if (!present) oracle[k] = v;
+              break;
+            case 1:
+              EXPECT_EQ(index.Update(k, v), present) << k;
+              if (present) oracle[k] = v;
+              break;
+            case 2:
+              EXPECT_EQ(index.Erase(k), present) << k;
+              oracle.erase(k);
+              break;
+            default: {
+              // A batch of distinct owned keys, spanning both shards.
+              std::vector<int64_t> batch;
+              for (int b = 0; b < 8; ++b) {
+                const int64_t key = pick();
+                if (std::find(batch.begin(), batch.end(), key) ==
+                    batch.end()) {
+                  batch.push_back(key);
+                }
+              }
+              bool ok[8] = {};
+              if (rng() & 1) {
+                std::vector<int64_t> values(batch.size(), v);
+                index.MultiInsert(batch.data(), values.data(), batch.size(),
+                                  ok);
+                for (size_t b = 0; b < batch.size(); ++b) {
+                  EXPECT_EQ(ok[b], oracle.count(batch[b]) == 0) << batch[b];
+                  oracle.emplace(batch[b], v);
+                }
+              } else {
+                index.MultiErase(batch.data(), batch.size(), ok);
+                for (size_t b = 0; b < batch.size(); ++b) {
+                  EXPECT_EQ(ok[b], oracle.erase(batch[b]) == 1) << batch[b];
+                }
+              }
+            }
+          }
+          ops.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (int cycle = 0; cycle < 10; ++cycle) {
+      for (size_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(index.DemoteShard(s), SnapshotStatus::kOk);
+        // Let the overlay take writes before folding it.
+        const uint64_t seen = ops.load();
+        while (ops.load() < seen + 16) std::this_thread::yield();
+        EXPECT_EQ(index.CompactShard(s), SnapshotStatus::kOk);
+        EXPECT_EQ(index.PromoteShard(s), SnapshotStatus::kOk);
+      }
+    }
+    stop.store(true);
+    for (std::thread& t : writers) t.join();
+    EXPECT_GT(index.compaction_count(), 0u);
+    ExpectMatchesOracle(index, merged());
+  }
+  Sharded recovered(TierOpts(2, prefix));
+  wal::RecoveryReport report;
+  ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+  EXPECT_GT(report.records_replayed, 0u);
+  ExpectMatchesOracle(recovered, merged());
   test_util::RemovePrefixFiles(prefix);
 }
 
