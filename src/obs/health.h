@@ -20,11 +20,10 @@
 //     judges every row into a HealthVerdict (level, offending metric,
 //     observed vs threshold); the merged HealthReport's level is the max
 //     across detectors.
-//   - The two baseline rows (WAL commit-wait p99, cold-tier miss ratio)
-//     scale their thresholds by an EWMA baseline of past windows. The
-//     baseline only absorbs windows judged healthy — a sustained
-//     regression keeps firing instead of teaching the baseline that slow
-//     is normal.
+//   - The baseline row (WAL commit-wait p99) scales its thresholds by an
+//     EWMA baseline of past windows. The baseline only absorbs windows
+//     judged healthy — a sustained regression keeps firing instead of
+//     teaching the baseline that slow is normal.
 //   - Every per-detector level change appends one kHealthTransition event
 //     to the journal (obs/journal.h), so "when did this start" has an
 //     answer with a timestamp and the neighbouring structural events.
@@ -94,10 +93,6 @@ struct SampledMetrics {
   // cross-shard/overflow slot; excluded from traffic skew).
   uint64_t shard_ops[MetricsRegistry::kMaxTrackedShards + 1] = {};
   uint64_t total_ops = 0;
-
-  // Cold-tier block cache (tier/block_cache.h).
-  uint64_t tier_cache_hits = 0;
-  uint64_t tier_cache_misses = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -121,9 +116,8 @@ enum class HealthDetector : uint8_t {
   kWriteGateWait,     // mean contended write-gate wait spike
   kShardSkew,         // per-shard size or traffic imbalance
   kSlowOpBurst,       // slow-op ring captures per window
-  kTierCacheMiss,     // cold-tier cache miss ratio vs EWMA baseline
 };
-constexpr size_t kNumHealthDetectors = 7;
+constexpr size_t kNumHealthDetectors = 6;
 
 inline const char* DetectorName(HealthDetector d) {
   switch (d) {
@@ -133,7 +127,6 @@ inline const char* DetectorName(HealthDetector d) {
     case HealthDetector::kWriteGateWait: return "write_gate_wait";
     case HealthDetector::kShardSkew: return "shard_skew";
     case HealthDetector::kSlowOpBurst: return "slow_op_burst";
-    case HealthDetector::kTierCacheMiss: return "tier_cache_miss";
   }
   return "?";
 }
@@ -302,23 +295,11 @@ inline Observation ObserveSlowOpBurst(const SampledMetrics& prev,
                     Delta(cur.slow_ops_captured, prev.slow_ops_captured))};
 }
 
-// Cold-tier block-cache miss ratio (>= 64 lookups).
-inline Observation ObserveTierMissRatio(const SampledMetrics& prev,
-                                        const SampledMetrics& cur) {
-  const uint64_t misses =
-      Delta(cur.tier_cache_misses, prev.tier_cache_misses);
-  const uint64_t lookups =
-      Delta(cur.tier_cache_hits, prev.tier_cache_hits) + misses;
-  if (lookups < 64) return {};
-  return {true, static_cast<double>(misses) / static_cast<double>(lookups)};
-}
-
 }  // namespace internal
 
 /// The watchdog's rules, one row per detector in HealthDetector order. The
 /// README's watchdog table documents the same constants. The baseline
-/// floors keep noise in sub-100us commit waits, and a cold cache's first
-/// touches, from ever firing their rules.
+/// floor keeps noise in sub-100us commit waits from ever firing its rule.
 inline constexpr HealthRule kHealthRules[kNumHealthDetectors] = {
     {HealthDetector::kEpochStall, "epoch.advance_stalls",
      internal::ObserveEpochStall, 4, 16},
@@ -333,9 +314,6 @@ inline constexpr HealthRule kHealthRules[kNumHealthDetectors] = {
      internal::ObserveShardSkew, 400, 1600},
     {HealthDetector::kSlowOpBurst, "slow_ops.captured",
      internal::ObserveSlowOpBurst, 16, 64},
-    {HealthDetector::kTierCacheMiss, "tier.cache_misses",
-     internal::ObserveTierMissRatio, 4, 16,
-     {/*floor=*/0.02, /*alpha=*/0.25}},
 };
 
 static_assert(
@@ -381,8 +359,6 @@ class HealthMonitor {
     gate_contended_ = registry_->GetCounter("shard.write_gate_contended");
     gate_wait_ = registry_->GetHistogram("shard.write_gate_wait_ns");
     size_skew_ = registry_->GetGauge("shard.size_skew_x100");
-    tier_cache_hits_ = registry_->GetCounter("tier.cache_hits");
-    tier_cache_misses_ = registry_->GetCounter("tier.cache_misses");
     transitions_ = registry_->GetCounter("health.transitions");
   }
 
@@ -552,8 +528,6 @@ class HealthMonitor {
     s.gate_wait_sum_ns = gate_wait_->Sum();
     s.slow_ops_captured = registry_->slow_ops().pushed();
     s.size_skew_x100 = size_skew_->Load();
-    s.tier_cache_hits = tier_cache_hits_->Load();
-    s.tier_cache_misses = tier_cache_misses_->Load();
     for (size_t slot = 0; slot <= MetricsRegistry::kMaxTrackedShards;
          ++slot) {
       s.shard_ops[slot] = registry_->OpCountForShardSlot(slot);
@@ -628,8 +602,6 @@ class HealthMonitor {
   Counter* gate_contended_ = nullptr;
   Histogram* gate_wait_ = nullptr;
   Gauge* size_skew_ = nullptr;
-  Counter* tier_cache_hits_ = nullptr;
-  Counter* tier_cache_misses_ = nullptr;
   Counter* transitions_ = nullptr;
 
   // Evaluation state, under mutex_.

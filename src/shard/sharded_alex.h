@@ -70,6 +70,11 @@
 //     (and with it the victim shard) is freed only two epoch advances
 //     after retirement.
 //
+//   Cold reads.   A cold shard is an immutable mmap'd segment plus a
+//     delta overlay ("Tiered storage" below). Gets, scans, cold writes
+//     and recovery all search the mapping in place, with no block cache
+//     between; LoadFrom verifies every block before it publishes a shard.
+//
 //   Scans.   A cross-shard Scan pins one table and streams the
 //     overlapping shards one after another on the calling thread; shards
 //     are disjoint ascending ranges, so concatenation is already sorted.
@@ -206,8 +211,9 @@ struct ShardedOptions {
   /// on the calling thread.
   size_t scan_threads = 4;
   // ---- Cold tier (src/tier/) ----
-  /// Block-cache capacity in bytes for cold-segment reads (see
-  /// tier/block_cache.h). Size it to the hot portion of the cold tier.
+  /// Unused by ShardedAlex: cold reads search the verified segment
+  /// mapping, with no block cache in between. Kept so callers that size
+  /// a tier::BlockCache from it still build.
   size_t tier_cache_bytes = 16u << 20;
   /// Directory/prefix where demotion writes its segment files. Empty
   /// defers to the WAL prefix; demotion fails when neither is set.
@@ -229,7 +235,7 @@ template <typename K, typename P>
 class ShardedAlex {
  public:
   explicit ShardedAlex(const ShardedOptions& options = ShardedOptions())
-      : options_(options), block_cache_(options.tier_cache_bytes) {
+      : options_(options) {
     auto* table = new Table();
     table->shards.push_back(
         std::make_shared<Shard>(options_.shard_config, &epoch_));
@@ -252,7 +258,8 @@ class ShardedAlex {
   /// load; in-flight writers are drained shard by shard. While the WAL is
   /// enabled the load seals the old shards' logs, opens fresh ones, and
   /// re-checkpoints automatically (the bulk-loaded contents exist in no
-  /// log, so only a checkpoint can anchor them); a checkpoint failure
+  /// log, so only a checkpoint can anchor them). Writers of the new
+  /// shards wait until that anchor commits. A checkpoint failure
   /// disables logging — nothing could truthfully be called durable
   /// without the anchor — and records kCheckpointFailed in
   /// last_wal_error().
@@ -268,19 +275,23 @@ class ShardedAlex {
       ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, 0, 0,
                      static_cast<int>(wal::WalStatus::kIoError), 0);
     }
-    [[maybe_unused]] const size_t shards = next->shards.size();
-    // The sealed logs keep the old lineage replayable until the
-    // checkpoint below supersedes it.
+    Table* loaded = next.get();
+    [[maybe_unused]] const size_t shards = loaded->shards.size();
+    // A fresh log is recoverable only once a manifest anchors it: keep
+    // the new shards' writers out from publish until the checkpoint
+    // below commits (or the logs are detached). The sealed logs keep the
+    // old lineage replayable until then.
+    const GateLocks gates = wal_enabled_ ? LockGates(loaded) : GateLocks();
     PublishAndRetireAll(std::move(next));
     ALEX_OBS_EVENT(obs::EventType::kBulkLoad, obs::kShardAll, 0, 0, n,
                    shards);
     if (wal_enabled_ &&
-        SaveToLocked(wal_prefix_) != core::SnapshotStatus::kOk) {
+        SaveToLocked(wal_prefix_, loaded) != core::SnapshotStatus::kOk) {
       // The bulk-loaded baseline now exists in no checkpoint and no log;
       // continuing to log would let a recovery silently roll the index
       // back to the pre-load state while claiming the post-load writes
       // were durable. Fail closed: stop logging and surface the error.
-      DetachLogs(table_.load(std::memory_order_seq_cst));
+      DetachLogs(loaded);
       wal_enabled_ = false;
       last_wal_error_.store(wal::WalStatus::kCheckpointFailed,
                             std::memory_order_relaxed);
@@ -350,8 +361,7 @@ class ShardedAlex {
       shard->traffic.fetch_add(j - i, std::memory_order_relaxed);
       if (shard->cold()) {
         for (size_t k = i; k < j; ++k) {
-          run_found[k] = shard->TierGet(sorted_keys[k], &run_payloads[k],
-                                        &block_cache_);
+          run_found[k] = shard->TierGet(sorted_keys[k], &run_payloads[k]);
           hits += run_found[k] ? 1 : 0;
         }
       } else {
@@ -399,7 +409,7 @@ class ShardedAlex {
     op_timer.set_shard(static_cast<uint32_t>(idx));
     Shard* shard = table->shards[idx].get();
     shard->traffic.fetch_add(1, std::memory_order_relaxed);
-    return shard->TierGet(key, out, &block_cache_);
+    return shard->TierGet(key, out);
   }
 
   /// True when `key` is present (same lock-free path as Get).
@@ -412,7 +422,7 @@ class ShardedAlex {
     Shard* shard = table->shards[idx].get();
     shard->traffic.fetch_add(1, std::memory_order_relaxed);
     P ignored;
-    return shard->TierGet(key, &ignored, &block_cache_);
+    return shard->TierGet(key, &ignored);
   }
 
   /// Cross-shard streaming scan of [lo, hi], visiting every record in
@@ -534,8 +544,9 @@ class ShardedAlex {
   // A shard is either *resident* (a ConcurrentAlex, the default) or
   // *cold*: its contents sealed into one checksummed, mmap-backed,
   // read-only segment (tier/segment.h) plus a small resident delta
-  // overlay for post-demotion writes. Cold reads route through a
-  // sharded-LRU block cache (tier/block_cache.h). Demotion, promotion
+  // overlay for post-demotion writes. Cold reads search the overlay,
+  // then the segment's mapping in place, which LoadFrom verified block
+  // by block before publishing the shard. Demotion, promotion
   // and compaction replace the one victim shard in a copied table —
   // same publish/retire protocol as a topology transaction, but the
   // shard's WAL log *moves* to the replacement instead of being sealed:
@@ -710,8 +721,13 @@ class ShardedAlex {
     return compactions_.load(std::memory_order_relaxed);
   }
 
-  /// The cold-tier block cache (stats for benches/tests).
-  const tier::BlockCache& block_cache() const { return block_cache_; }
+  /// An idle block cache, whose counters always read 0: no ShardedAlex
+  /// path loads a block (cold reads search the segment mapping). Kept so
+  /// callers that report cache stats still build.
+  const tier::BlockCache& block_cache() const {
+    static const tier::BlockCache idle(0);
+    return idle;
+  }
 
   /// Aggregate per-commit WAL wait histogram (microsecond buckets)
   /// across every shard's log — p50/p99 via Quantile. Includes the
@@ -754,8 +770,8 @@ class ShardedAlex {
     for (const auto& shard : table->shards) {
       if (shard->cold()) {
         // A cold shard's resident metadata: the segment's fence model +
-        // per-block checksums. The mapped data blocks live on disk (and
-        // transiently in the block cache, accounted by its own stats).
+        // per-block checksums. The mapped data blocks live on disk and in
+        // the kernel's page cache, not in this process's heap.
         total += shard->segment->MetaSizeBytes();
       } else {
         total += shard->index.IndexSizeBytes();
@@ -802,7 +818,10 @@ class ShardedAlex {
   /// is a plain export and leaves the logs alone.
   core::SnapshotStatus SaveTo(const std::string& prefix) const {
     std::lock_guard<std::mutex> rebalance(rebalance_mutex_);
-    return SaveToLocked(prefix);
+    // The rebalance lock keeps this table current for the whole save.
+    Table* table = table_.load(std::memory_order_seq_cst);
+    const GateLocks gates = LockGates(table);
+    return SaveToLocked(prefix, table);
   }
 
   /// Replaces the contents from a SaveTo image — and, when WAL segments
@@ -834,13 +853,9 @@ class ShardedAlex {
     // *fails* validation leaves the live index logging exactly as
     // before; only a successful load ends the old lineage.
     const bool was_logging = wal_enabled_;
-    std::vector<std::unique_lock<std::shared_mutex>> quiesce;
+    GateLocks quiesce;
     if (was_logging) {
-      Table* live = table_.load(std::memory_order_seq_cst);
-      quiesce.reserve(live->shards.size());
-      for (const auto& shard : live->shards) {
-        quiesce.emplace_back(shard->write_gate);
-      }
+      quiesce = LockGates(table_.load(std::memory_order_seq_cst));
     }
     ShardManifest<K> manifest;
     bool have_manifest = false;
@@ -974,14 +989,17 @@ class ShardedAlex {
     }
     wal_prefix_ = prefix;
     wal_options_ = options;
+    // Writers wait from log attach until the anchor checkpoint commits: a
+    // write acknowledged on a log no manifest anchors yet would be lost
+    // (or replayed without its baseline) by a crash in between.
+    const GateLocks gates = LockGates(table);
     if (!AttachFreshLogs(&table->shards, /*parents=*/{})) {
-      DetachLogs(table);
       ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, 0, 0,
                      static_cast<int>(wal::WalStatus::kIoError), 0);
       return wal::WalStatus::kIoError;
     }
     wal_enabled_ = true;
-    if (SaveToLocked(prefix) != core::SnapshotStatus::kOk) {
+    if (SaveToLocked(prefix, table) != core::SnapshotStatus::kOk) {
       DetachLogs(table);
       wal_enabled_ = false;
       ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, 0, 0,
@@ -1110,10 +1128,10 @@ class ShardedAlex {
     // (whose tree stays empty), plus a small resident *delta overlay*
     // for the writes that landed since demotion. Reads consult the
     // overlay first (a tombstone hides a segment key), then the segment
-    // through the block cache. `segment` is set once when the cold
-    // replacement shard is built and never reassigned, so the lock-free
-    // read path can test cold() with no synchronization beyond the
-    // table load that published the shard.
+    // mapping. `segment` is set once when the cold replacement shard is
+    // built and never reassigned, so the lock-free read path can test
+    // cold() with no synchronization beyond the table load that
+    // published the shard.
     std::shared_ptr<tier::ColdSegment<K, P>> segment;
     struct DeltaEntry {
       P payload{};
@@ -1143,28 +1161,10 @@ class ShardedAlex {
                     : index.size();
     }
 
-    /// Segment read below the overlay: through the block cache when one
-    /// is given (pinned copy + in-block model search), straight off the
-    /// mapping otherwise. A block whose cached load fails (checksum)
-    /// falls back to the raw mapping — the segment was fully verified
-    /// when it was opened.
-    bool SegmentGet(const K& key, P* out, tier::BlockCache* cache) const {
-      if (key < segment->min_key() || segment->max_key() < key) {
-        return false;
-      }
-      if (cache == nullptr) return segment->Get(key, out);
-      const size_t b = segment->BlockOfKey(key);
-      tier::BlockCache::Handle h = cache->GetOrLoad(
-          segment->id(), b, [&](std::vector<uint8_t>* bytes) {
-            return segment->LoadBlock(b, bytes) ==
-                   core::SnapshotStatus::kOk;
-          });
-      if (!h.valid()) return segment->Get(key, out);
-      return tier::ColdSegment<K, P>::SearchBlock(
-          h.data(), segment->BlockKeys(b), key, out);
-    }
-
-    bool TierGet(const K& key, P* out, tier::BlockCache* cache) const {
+    /// The one point read of either tier. A cold shard reads the overlay,
+    /// then the segment mapping (ColdSegment::Get), the same bytes scans,
+    /// cold writes and recovery read.
+    bool TierGet(const K& key, P* out) const {
       if (!cold()) return index.Get(key, out);
       {
         std::shared_lock<std::shared_mutex> lock(delta_mutex);
@@ -1175,13 +1175,13 @@ class ShardedAlex {
           return true;
         }
       }
-      return SegmentGet(key, out, cache);
+      return segment->Get(key, out);
     }
 
     // Cold-shard writes mutate only the overlay, under its exclusive
     // lock; callers hold the shard's write_gate shared and have already
     // logged the record, exactly like the resident path. Segment
-    // membership checks read the raw mapping (no cache pollution).
+    // membership checks read the mapping, like every cold read.
 
     bool TierInsert(const K& key, const P& payload) {
       std::unique_lock<std::shared_mutex> lock(delta_mutex);
@@ -1253,10 +1253,9 @@ class ShardedAlex {
 
 
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
-    /// snapshotted under the shared lock (so the segment stream — which
-    /// reads the mapping, not the cache — never runs under it), then
-    /// merge-joined with the segment in ascending key order. Visitor and
-    /// return value as in ConcurrentAlex::Scan.
+    /// snapshotted under the shared lock (so the segment stream never
+    /// runs under it), then merge-joined with the segment in ascending
+    /// key order. Visitor and return value as in ConcurrentAlex::Scan.
     template <typename Visitor>
     size_t TierScanUntil(const K& lo, const K& hi, Visitor&& visit) const {
       std::vector<std::pair<K, DeltaEntry>> overlay;
@@ -1591,13 +1590,13 @@ class ShardedAlex {
   }
 
   /// Opens one fresh log (new wal id, seq 1, LSN 0) per shard and
-  /// attaches it under the shard's exclusive gate. A non-empty
-  /// `parents` list makes these topology children: the segment header
-  /// names the first parent and the log's first record is a kTopology
-  /// record listing all of them, fdatasync-durable before the child can
-  /// acknowledge data. On any failure every log created here is removed
-  /// again and false is returned. Caller holds rebalance_mutex_ (which
-  /// guards next_wal_id_).
+  /// attaches it; the shards are unpublished, or the caller holds their
+  /// gates exclusive. A non-empty `parents` list makes these topology
+  /// children: the segment header names the first parent and the log's
+  /// first record is a kTopology record listing all of them,
+  /// fdatasync-durable before the child can acknowledge data. On any
+  /// failure every log created here is removed again and false is
+  /// returned. Caller holds rebalance_mutex_ (which guards next_wal_id_).
   bool AttachFreshLogs(std::vector<std::shared_ptr<Shard>>* shards,
                        const std::vector<uint64_t>& parents) {
     std::vector<std::shared_ptr<wal::ShardLog<K, P>>> logs;
@@ -1621,15 +1620,14 @@ class ShardedAlex {
       logs.push_back(std::move(log));
     }
     for (size_t i = 0; i < shards->size(); ++i) {
-      std::unique_lock<std::shared_mutex> gate((*shards)[i]->write_gate);
       (*shards)[i]->log = std::move(logs[i]);
     }
     return true;
   }
 
-  void DetachLogs(Table* table) {
+  /// Removes every shard's log; the caller holds the gates exclusive.
+  static void DetachLogs(Table* table) {
     for (const auto& shard : table->shards) {
-      std::unique_lock<std::shared_mutex> gate(shard->write_gate);
       if (shard->log != nullptr) {
         std::remove(shard->log->current_path().c_str());
         shard->log.reset();
@@ -1828,18 +1826,24 @@ class ShardedAlex {
     return core::SnapshotStatus::kOk;
   }
 
-  /// SaveTo minus the rebalance lock (BulkLoad and EnableWal checkpoint
-  /// while already holding it). See SaveTo for the contract.
-  core::SnapshotStatus SaveToLocked(const std::string& prefix) const {
-    util::EpochManager::Guard guard(epoch_);
-    // rebalance_mutex_ (held by the caller) excludes table replacement,
-    // so this table stays current for the whole save.
-    Table* table = table_.load(std::memory_order_seq_cst);
-    std::vector<std::unique_lock<std::shared_mutex>> gates;
+  using GateLocks = std::vector<std::unique_lock<std::shared_mutex>>;
+
+  /// Takes every shard's write gate of `table` exclusive, in shard order.
+  static GateLocks LockGates(const Table* table) {
+    GateLocks gates;
     gates.reserve(table->shards.size());
     for (const auto& shard : table->shards) {
       gates.emplace_back(shard->write_gate);
     }
+    return gates;
+  }
+
+  /// SaveTo of the current `table`, with rebalance_mutex_ and every gate
+  /// of `table` held (BulkLoad and EnableWal keep the gates from log
+  /// attach through their anchor checkpoint). See SaveTo for the contract.
+  core::SnapshotStatus SaveToLocked(const std::string& prefix,
+                                    Table* table) const {
+    util::EpochManager::Guard guard(epoch_);
     const bool wal_checkpoint = wal_enabled_ && prefix == wal_prefix_;
     // The manifest committed at this prefix, if any, numbers this one,
     // and fresh segment ids must clear every id it references: a save
@@ -2111,14 +2115,13 @@ class ShardedAlex {
     Shard* victim = table->shards[idx].get();
     if (!victim->cold()) return core::SnapshotStatus::kOk;
     std::unique_lock<std::shared_mutex> gate(victim->write_gate);
-    const uint64_t old_segment = victim->segment->id();
+    [[maybe_unused]] const uint64_t old_segment = victim->segment->id();
     std::shared_ptr<Shard> resident = MakeResident(victim);
     [[maybe_unused]] const uint64_t n = resident->TierSize();
     ReplaceShard(table, idx, std::move(resident), &gate);
     // The segment file is NOT unlinked here: the committed manifest may
     // still reference it (a crash before the next checkpoint must be
     // able to reopen it). The next checkpoint's sweep collects it.
-    block_cache_.EraseSegment(old_segment);
     promotions_.fetch_add(1, std::memory_order_relaxed);
     ALEX_OBS_COUNTER_INC("tier.promotions");
     ALEX_OBS_EVENT(obs::EventType::kTierPromotion,
@@ -2138,12 +2141,10 @@ class ShardedAlex {
       // compacted form of this shard is an empty resident one.
       return PromoteShardLocked(idx);
     }
-    const uint64_t old_segment = victim->segment->id();
     size_t n = 0;
     uint64_t seg_id = 0;
     const core::SnapshotStatus status = SealToSegment(table, idx, &n, &seg_id);
     if (status != core::SnapshotStatus::kOk) return status;
-    block_cache_.EraseSegment(old_segment);
     compactions_.fetch_add(1, std::memory_order_relaxed);
     ALEX_OBS_COUNTER_INC("tier.compactions");
     ALEX_OBS_EVENT(obs::EventType::kTierCompaction,
@@ -2478,9 +2479,6 @@ class ShardedAlex {
   }
 
   ShardedOptions options_;
-  // Cold-tier block cache; mutable because the lock-free read path
-  // (const) pins blocks through it.
-  mutable tier::BlockCache block_cache_;
   mutable util::EpochManager epoch_;
   // Serializes table replacement (rebalance, bulk load, save/load). Never
   // touched by point reads or writes.

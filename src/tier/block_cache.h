@@ -1,15 +1,17 @@
-// Sharded-LRU block cache for the cold tier (tier/segment.h). Hot cold-
-// tier blocks serve from DRAM copies; everything else stays on disk
-// behind the mmap. The design follows SNIPPETS.md's cache-oblivious PMA
-// split (BlockDevice + Cache* behind the index), adapted to the shard
-// layer's concurrency rules:
+// Sharded-LRU cache of immutable byte blocks keyed by (segment, block),
+// filled by a caller-supplied loader. No ShardedAlex read path uses it;
+// benches do. Cold-shard reads search the segment's mmap in place
+// (tier/segment.h): a segment is immutable and verified before it is
+// published, so a DRAM copy of a block would duplicate the page cache and
+// add a lock per lookup. The design follows SNIPPETS.md's cache-oblivious
+// PMA split (BlockDevice + Cache* behind the index), for block sources
+// that cannot be read in place:
 //
 //   - Sharded: (segment, block) keys hash across kNumShards independent
 //     LRU shards, each with its own mutex — readers of different blocks
 //     rarely touch the same lock, and no lock is held across a load.
 //   - Singleflight: the first thread to miss a block inserts a kLoading
-//     placeholder, drops the shard lock, runs the loader (memcpy +
-//     checksum from the mapping), and publishes; concurrent readers of
+//     placeholder, drops the shard lock, runs the loader, and publishes; concurrent readers of
 //     the same block wait on the shard's condvar instead of duplicating
 //     the load. A failed load erases the placeholder and wakes waiters,
 //     who retry the load themselves (and surface the failure if it
@@ -151,10 +153,9 @@ class BlockCache {
     return Handle(this, s, entry);
   }
 
-  /// Drops every unpinned cached block of `segment_id` (promotion and
-  /// compaction retire the segment's blocks eagerly; any still-pinned or
-  /// in-flight entries age out through the LRU — their stale segment id
-  /// can never be requested again).
+  /// Drops every unpinned cached block of `segment_id`, for a caller
+  /// retiring that segment (any still-pinned or in-flight entries age out
+  /// through the LRU once its id is never requested again).
   void EraseSegment(uint64_t segment_id) {
     for (CacheShard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mutex);

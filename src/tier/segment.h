@@ -18,10 +18,10 @@
 //
 // The header and the two metadata arrays are read once at Open and kept
 // resident (they are the "index" of the segment: ~16 bytes per block).
-// Block data is mmap'd PROT_READ with MADV_RANDOM — the kernel pages cold
-// blocks in on demand and the block cache (tier/block_cache.h) keeps the
-// hot ones pinned in user space, so a segment's DRAM cost is its metadata
-// plus whatever the cache holds.
+// Block data is mmap'd PROT_READ with MADV_RANDOM and searched in place:
+// the kernel pages cold blocks in on demand, and the page cache is the
+// only copy. A segment's heap cost is its metadata. The file is immutable
+// once written, so the mapping never sees a page change under a reader.
 //
 // A segment is the repo's one on-disk format for a sorted run. One writer
 // serves three producers: checkpointing any shard (resident or cold — the
@@ -31,9 +31,13 @@
 // diverge in format, and recovery reads every shard back through Open +
 // VerifyAllBlocks.
 //
-// Integrity: every block carries its own CRC32C checksum (verified on
-// every cache miss load and by VerifyAllBlocks at recovery), the metadata
+// Integrity: every block carries its own CRC32C checksum, the metadata
 // arrays are covered by meta_checksum, and the header by header_checksum.
+// Open checks the last two; VerifyAllBlocks checksums every block in place
+// on the mapping, and recovery runs it on each segment before publishing
+// it. Reads do not re-checksum. A segment this process just wrote
+// (demotion, compaction) is opened without the block pass: its checksums
+// were computed from the very bytes it wrote.
 // Any mismatch surfaces as core::SnapshotStatus::kSegmentCorrupt —
 // distinct from kTruncated/kBadMagic so a flipped byte is never mistaken
 // for a torn or foreign file. VerifyAllBlocks also proves the keys
@@ -196,10 +200,8 @@ core::SnapshotStatus WriteSegmentFile(const std::string& path,
 
 /// An open, validated, mmap'd cold segment. Immutable after Open; all
 /// read methods are const and safe from any thread (the mapping is
-/// PROT_READ and the resident metadata never changes). Reads that go
-/// through a block cache verify the block checksum once per load; the
-/// `cache == nullptr` paths read the mapping directly (recovery and
-/// invariant checks, where VerifyAllBlocks has already run).
+/// PROT_READ and the resident metadata never changes). Reads search the
+/// mapping directly and do not re-checksum: VerifyAllBlocks is the audit.
 template <typename K, typename P>
 class ColdSegment {
  public:
@@ -292,31 +294,28 @@ class ColdSegment {
     return BlockKeys(b) * (sizeof(K) + sizeof(P));
   }
 
-  /// Copies block `b` into `*out` and verifies its checksum. This is the
-  /// block cache's loader; kSegmentCorrupt on a mismatch.
-  core::SnapshotStatus LoadBlock(size_t b,
-                                 std::vector<uint8_t>* out) const {
-    const size_t bytes = BlockBytes(b);
-    out->resize(bytes);
-    std::memcpy(out->data(), base_ + BlockOffset(b), bytes);
-    return core::internal::Crc32c(out->data(), bytes, 0) == checksums_[b]
+  /// Checksums block `b` in place on the mapping: kSegmentCorrupt when
+  /// its CRC32C disagrees with the resident checksum array.
+  core::SnapshotStatus VerifyBlock(size_t b) const {
+    return core::internal::Crc32c(base_ + BlockOffset(b), BlockBytes(b), 0) ==
+                   checksums_[b]
                ? core::SnapshotStatus::kOk
                : core::SnapshotStatus::kSegmentCorrupt;
   }
 
   /// Full-audit pass (recovery calls this before trusting a segment the
-  /// manifest references): every block re-checksummed, then its keys
-  /// checked strictly increasing, within the block and across the
+  /// manifest references): every block checksummed in place, then its
+  /// keys checked strictly increasing, within the block and across the
   /// boundary from the previous one. kSegmentCorrupt / kUnsortedKeys.
   core::SnapshotStatus VerifyAllBlocks() const {
-    std::vector<uint8_t> block;
     K prev{};
     for (size_t b = 0; b < header_.num_blocks; ++b) {
-      const core::SnapshotStatus status = LoadBlock(b, &block);
+      const core::SnapshotStatus status = VerifyBlock(b);
       if (status != core::SnapshotStatus::kOk) return status;
+      const uint8_t* block = base_ + BlockOffset(b);
       const size_t m = BlockKeys(b);
       for (size_t i = 0; i < m; ++i) {
-        const K key = internal::LoadAt<K>(block.data() + i * sizeof(K));
+        const K key = internal::LoadAt<K>(block + i * sizeof(K));
         if ((b > 0 || i > 0) && !(prev < key)) {
           return core::SnapshotStatus::kUnsortedKeys;
         }
@@ -326,8 +325,9 @@ class ColdSegment {
     return core::SnapshotStatus::kOk;
   }
 
-  /// Point lookup against the raw mapping (no cache, no checksum —
-  /// recovery/invariant paths where VerifyAllBlocks already ran).
+  /// Point lookup on the mapping: fence model to the block, then a
+  /// binary search inside it. Every cold point read of the shard layer
+  /// (Get, MultiGet, a write's membership check) lands here.
   bool Get(const K& key, P* out) const {
     if (key < min_key_ || max_key_ < key) return false;
     const size_t b = BlockOfKey(key);
@@ -341,8 +341,8 @@ class ColdSegment {
 
   /// Streams [lo, hi] from the raw mapping in ascending key order;
   /// `visit(key, payload)` returns false to stop early. Returns the
-  /// number of records visited. The cached equivalent lives at the shard
-  /// layer, which interleaves the delta overlay.
+  /// number of records visited. The shard layer interleaves the delta
+  /// overlay on top.
   template <typename Visitor>
   size_t ScanUntil(const K& lo, const K& hi, Visitor&& visit) const {
     if (hi < lo || hi < min_key_ || max_key_ < lo) return 0;
@@ -365,8 +365,8 @@ class ColdSegment {
     return count;
   }
 
-  /// Binary search of one block image (cache buffer or raw mapping).
-  /// Exposed so the shard layer can search a cache-pinned block copy.
+ private:
+  /// Binary search of the `m` keys of one block of the mapping.
   static bool SearchBlock(const uint8_t* block, size_t m, const K& key,
                           P* out) {
     size_t lo = 0, hi = m;
@@ -385,7 +385,6 @@ class ColdSegment {
     return true;
   }
 
- private:
   size_t LastBlockKeys() const {
     const size_t rem = header_.num_keys % header_.keys_per_block;
     return rem == 0 ? header_.keys_per_block : rem;

@@ -171,12 +171,12 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
   EXPECT_EQ(monitor_->ring().pushed(), 1u);
 
   // Each detector names the same metric on the first sample as when it
-  // fires. One window seeds the two baseline rules while the other five
-  // fire; the next regresses both baseline rules. shard_skew fires on the
+  // fires. One window seeds the baseline rule while the other five fire;
+  // the next regresses the baseline rule. shard_skew fires on the
   // size gauge here: its traffic variant names its own metric
   // (ShardTrafficSkewNamesItsOwnMetric).
   util::Log2Histogram wal;
-  auto window = [&](uint64_t commit_wait_ns, uint64_t hits, uint64_t misses) {
+  auto window = [&](uint64_t commit_wait_ns) {
     for (int i = 0; i < 32; ++i) wal.Record(commit_wait_ns);
     cursor_.wal_commit_count = wal.Count();
     cursor_.wal_commit_sum_ns = wal.Sum();
@@ -184,8 +184,6 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
     for (int b = 0; b < util::Log2Histogram::kNumBuckets; ++b) {
       cursor_.wal_commit_buckets[b] = wal.count(b);
     }
-    cursor_.tier_cache_hits += hits;
-    cursor_.tier_cache_misses += misses;
     cursor_.epoch_advance_stalls += 20;
     cursor_.epoch_retired_unreclaimed = 65536;
     cursor_.gate_contended += 8;
@@ -195,8 +193,8 @@ TEST_F(HealthTest, FirstSampleIsAllOkWithDetectorIdentitiesFilled) {
     cursor_.slow_ops_captured += 100;
     Inject();
   };
-  window(1'000'000, 980, 20);
-  window(100'000'000, 500, 500);
+  window(1'000'000);
+  window(100'000'000);
   const HealthReport fired = monitor_->Report();
   for (size_t i = 0; i < obs::kNumHealthDetectors; ++i) {
     EXPECT_EQ(fired.verdicts[i].level, HealthLevel::kCritical)
@@ -335,45 +333,6 @@ TEST_F(HealthTest, SlowOpBurstEdges) {
   Inject();  // quiet window
   EXPECT_EQ(LevelOf(HealthDetector::kSlowOpBurst), HealthLevel::kOk);
   ExpectCanonicalEdges(HealthDetector::kSlowOpBurst);
-}
-
-TEST_F(HealthTest, TierCacheMissEdgesAgainstEwmaBaseline) {
-  Inject();  // baseline sample
-  auto window = [&](uint64_t hits, uint64_t misses) {
-    cursor_.tier_cache_hits += hits;
-    cursor_.tier_cache_misses += misses;
-    Inject();
-  };
-  // First qualifying window (2% misses) seeds the EWMA baseline and is
-  // Ok by definition; a steady window stays Ok.
-  window(980, 20);
-  EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kOk);
-  window(980, 20);
-  EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kOk);
-  // 10% misses >= 4x the ~2% baseline: warn, but below the 16x critical
-  // bar.
-  window(900, 100);
-  EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kWarn);
-  // 50% misses >= 16x baseline (0.32): critical. The unhealthy windows
-  // must not have taught the baseline, or this edge would never fire.
-  window(500, 500);
-  EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kCritical);
-  window(995, 5);  // recovery window
-  EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kOk);
-  ExpectCanonicalEdges(HealthDetector::kTierCacheMiss);
-  const obs::HealthVerdict v =
-      monitor_->Report()
-          .verdicts[static_cast<size_t>(HealthDetector::kTierCacheMiss)];
-  EXPECT_STREQ(v.metric, "tier.cache_misses");
-  EXPECT_STREQ(obs::DetectorName(HealthDetector::kTierCacheMiss),
-               "tier_cache_miss");
-
-  // Below the minimum lookup count the rule never judges: a tiny
-  // all-miss window (cold start) is not a verdict.
-  cursor_.tier_cache_misses += 10;
-  Inject();
-  EXPECT_EQ(LevelOf(HealthDetector::kTierCacheMiss), HealthLevel::kOk);
-  EXPECT_EQ(EdgesFor(HealthDetector::kTierCacheMiss).size(), 3u);
 }
 
 TEST_F(HealthTest, ReportJsonCarriesLevelsAndVerdicts) {

@@ -215,12 +215,12 @@ TEST(TierSegment, BlockByteFlipIsSegmentCorrupt) {
   Segment seg;
   // Open never touches block data, so it still succeeds...
   ASSERT_EQ(seg.Open(path, 1), SnapshotStatus::kOk);
-  // ...but the audit and the cache-loader path both reject the block.
+  // ...but the audit rejects it, and pins the corruption on that block:
+  // the flipped one fails its in-place checksum, a clean one passes.
   EXPECT_EQ(seg.VerifyAllBlocks(), SnapshotStatus::kSegmentCorrupt);
-  std::vector<uint8_t> block;
-  EXPECT_EQ(seg.LoadBlock(seg.num_blocks() - 1, &block),
+  EXPECT_EQ(seg.VerifyBlock(seg.num_blocks() - 1),
             SnapshotStatus::kSegmentCorrupt);
-  EXPECT_EQ(seg.LoadBlock(0, &block), SnapshotStatus::kOk);
+  EXPECT_EQ(seg.VerifyBlock(0), SnapshotStatus::kOk);
   std::remove(path.c_str());
 }
 
@@ -560,33 +560,6 @@ TEST(BlockCache, ConcurrentStatsStayExact) {
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_EQ(cache.pinned_bytes(), 0u);
   EXPECT_LE(cache.bytes(), 2048u);
-}
-
-TEST(BlockCache, SegmentLoaderIntegration) {
-  // The real wiring: cache loader = ColdSegment::LoadBlock, reader =
-  // SearchBlock over the pinned buffer.
-  const std::string path = TempPath("seg_cache");
-  const SortedRun run = MakeRun(1000);
-  ASSERT_EQ(WriteRun(path, run, 64), SnapshotStatus::kOk);
-  Segment seg;
-  ASSERT_EQ(seg.Open(path, 5), SnapshotStatus::kOk);
-
-  BlockCache cache(1 << 20);
-  for (size_t i = 0; i < run.keys.size(); i += 17) {
-    const int64_t key = run.keys[i];
-    const size_t b = seg.BlockOfKey(key);
-    BlockCache::Handle h =
-        cache.GetOrLoad(seg.id(), b, [&](std::vector<uint8_t>* out) {
-          return seg.LoadBlock(b, out) == SnapshotStatus::kOk;
-        });
-    ASSERT_TRUE(h.valid());
-    int64_t payload = 0;
-    ASSERT_TRUE(Segment::SearchBlock(h.data(), seg.BlockKeys(b), key,
-                                     &payload));
-    EXPECT_EQ(payload, run.payloads[i]);
-  }
-  EXPECT_GT(cache.hits(), 0u);  // 17-stride revisits blocks of 64 keys
-  std::remove(path.c_str());
 }
 
 }  // namespace

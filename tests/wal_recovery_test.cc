@@ -1,12 +1,15 @@
 // End-to-end crash-recovery tests for the WAL-integrated sharded index:
 // the kill-and-recover acceptance scenario, recovery edge cases (empty
 // log, replay idempotence, torn tail, mid-segment corruption, recovery
-// across a shard split), sync-policy coverage, and concurrent writers
-// against the logged write path (a TSan target).
+// across a shard split), sync-policy coverage, concurrent writers
+// against the logged write path (a TSan target), and writers racing the
+// anchor checkpoint of EnableWal and a logging BulkLoad.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -645,6 +648,77 @@ TEST(WalRecoveryTest, ConcurrentLoggedWritersRecoverCompletely) {
   ASSERT_EQ(recovered.LoadFrom(prefix), SnapshotStatus::kOk);
   ExpectDenseContents(recovered, kThreads * kPerThread);
   test_util::RemovePrefixFiles(prefix);
+}
+
+/// True when a WAL segment at `prefix` holds a data record in a log newer
+/// than every log the committed manifest anchors (in any log, when no
+/// manifest is committed). A crash now would leave an orphan lineage that
+/// holds records: with a manifest LoadFrom fails with kSegmentGap, and
+/// without one the logs-only path recovers them minus the baseline.
+bool UnanchoredRecordsOnDisk(const std::string& prefix) {
+  ShardManifest<int64_t> manifest;
+  uint64_t newest_anchor = 0;
+  if (ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest) ==
+      SnapshotStatus::kOk) {
+    for (const uint64_t id : manifest.wal_ids) {
+      newest_anchor = std::max(newest_anchor, id);
+    }
+  }
+  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
+    if (f.wal_id <= newest_anchor) continue;
+    wal::WalSegmentInfo info;
+    std::vector<wal::WalRecord<int64_t, int64_t>> records;
+    if (wal::ReadWalSegment(f.path, &info, &records) == WalStatus::kOk &&
+        !records.empty()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(WalRecoveryTest, NoWriteIsAcknowledgedBeforeItsLogIsAnchored) {
+  // EnableWal and a logging BulkLoad attach fresh logs that only their
+  // anchor checkpoint makes recoverable. A writer inserting throughout
+  // checks the files after every acknowledged insert: no acknowledged
+  // record may sit in a log the committed manifest does not anchor.
+  // Timed (the writer must land in the window), so it runs a few rounds.
+  constexpr int kRounds = 5;
+  constexpr int64_t kKeys = 4000;
+  std::vector<int64_t> keys, payloads;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    keys.push_back(2 * k);
+    payloads.push_back(2 * k * 7);
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    const std::string prefix =
+        TempPrefix("recover-anchor") + "-" + std::to_string(round);
+    test_util::RemovePrefixFiles(prefix);
+    Sharded index(Opts(8));
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> acked{0};
+    std::atomic<uint64_t> unanchored{0};
+    std::thread writer([&] {
+      for (int64_t k = 1; !stop.load(); k += 2) {
+        if (!index.Insert(k, k * 7)) continue;
+        acked.fetch_add(1);
+        if (UnanchoredRecordsOnDisk(prefix)) unanchored.fetch_add(1);
+      }
+    });
+    while (acked.load() == 0) std::this_thread::yield();
+    EXPECT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kAlways)),
+              WalStatus::kOk);  // not ASSERT: the writer must be joined
+    const uint64_t after_enable = acked.load();
+    while (acked.load() < after_enable + 2) std::this_thread::yield();
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    const uint64_t after_load = acked.load();
+    while (acked.load() < after_load + 2) std::this_thread::yield();
+    stop.store(true);
+    writer.join();
+    EXPECT_EQ(index.last_wal_error(), WalStatus::kOk);
+    EXPECT_EQ(unanchored.load(), 0u) << "round " << round;
+    test_util::RemovePrefixFiles(prefix);
+  }
 }
 
 TEST(WalRecoveryTest, AllSyncPoliciesRoundTrip) {
