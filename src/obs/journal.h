@@ -43,7 +43,9 @@ namespace alex::obs {
 ///       unlogged), lsn = first victim's seal LSN (0 unlogged).
 ///   kCheckpoint   a = manifest generation, b = shard count; lsn = highest
 ///       checkpoint LSN across shards.
-///   kRecovery     a = WAL records replayed, b = recovered shard count.
+///   kRecovery     a = WAL records replayed, b = recovered shard count;
+///       phase_us = wall µs of reading the logs, folding the tails and
+///       building the shards (wal::RecoveryReport read_s/fold_s/build_s).
 ///   kBulkLoad     a = keys loaded, b = shard count.
 ///   kWalEnabled   a = shard count; wal_id = first shard's log id.
 ///   kWalError     a = wal::WalStatus as int; wal_id/lsn = failing log.
@@ -97,7 +99,15 @@ struct JournalEvent {
   uint64_t lsn = 0;     // 0 when no LSN applies
   int64_t a = 0;        // type-specific, see EventType
   int64_t b = 0;        // type-specific, see EventType
+  uint32_t phase_us[3] = {0, 0, 0};  // phase durations; 0 when untimed
 };
+
+/// A phase duration in seconds as a phase_us entry (saturating).
+inline uint32_t PhaseMicros(double seconds) {
+  const double us = seconds * 1e6;
+  if (!(us > 0)) return 0;
+  return us >= 4294967295.0 ? UINT32_MAX : static_cast<uint32_t>(us);
+}
 
 /// One event as a JSON object (shared by SnapshotJson, the file sink and
 /// the bench artifacts).
@@ -112,7 +122,10 @@ inline std::string EventToJson(const JournalEvent& e) {
   out += ", \"wal_id\": " + std::to_string(e.wal_id) +
          ", \"lsn\": " + std::to_string(e.lsn) +
          ", \"a\": " + std::to_string(e.a) +
-         ", \"b\": " + std::to_string(e.b) + "}";
+         ", \"b\": " + std::to_string(e.b) + ", \"phase_us\": [" +
+         std::to_string(e.phase_us[0]) + ", " +
+         std::to_string(e.phase_us[1]) + ", " +
+         std::to_string(e.phase_us[2]) + "]}";
   return out;
 }
 
@@ -138,8 +151,10 @@ class EventJournal {
   uint64_t recorded() const { return ring_.pushed(); }
 
   void Append(EventType type, uint32_t shard, uint64_t wal_id, uint64_t lsn,
-              int64_t a, int64_t b) {
-    JournalEvent e{0, TicksToNs(NowTicks()), type, shard, wal_id, lsn, a, b};
+              int64_t a, int64_t b, uint32_t phase0_us = 0,
+              uint32_t phase1_us = 0, uint32_t phase2_us = 0) {
+    JournalEvent e{0, TicksToNs(NowTicks()), type, shard, wal_id, lsn, a, b,
+                   {phase0_us, phase1_us, phase2_us}};
     e.ticket = ring_.Push(e);
     if (sink_armed_.load(std::memory_order_acquire)) WriteSinkLine(e);
   }
@@ -211,6 +226,9 @@ inline EventJournal& GlobalJournal() { return EventJournal::Global(); }
 #define ALEX_OBS_EVENT(type, shard, wal_id, lsn, a, b) \
   do {                                                 \
   } while (0)
+#define ALEX_OBS_EVENT_PHASES(type, shard, a, b, p0, p1, p2) \
+  do {                                                       \
+  } while (0)
 
 #else  // !ALEX_DISABLE_OBS
 
@@ -221,6 +239,17 @@ inline EventJournal& GlobalJournal() { return EventJournal::Global(); }
           type, static_cast<uint32_t>(shard),                              \
           static_cast<uint64_t>(wal_id), static_cast<uint64_t>(lsn),       \
           static_cast<int64_t>(a), static_cast<int64_t>(b));               \
+    }                                                                      \
+  } while (0)
+
+// An event with no log or LSN that times up to three phases (phase_us).
+#define ALEX_OBS_EVENT_PHASES(type, shard, a, b, p0, p1, p2)              \
+  do {                                                                     \
+    if (__builtin_expect(::alex::obs::Enabled(), 0)) {                     \
+      ::alex::obs::GlobalJournal().Append(                                 \
+          type, static_cast<uint32_t>(shard), 0, 0,                        \
+          static_cast<int64_t>(a), static_cast<int64_t>(b), (p0), (p1),    \
+          (p2));                                                           \
     }                                                                      \
   } while (0)
 

@@ -31,8 +31,8 @@
 //
 //   Writes.   Writers additionally hold the target shard's `write_gate`
 //     shared for the duration of one committed operation and re-route if
-//     the shard is marked retired; they apply through the dispatch
-//     recovery replays with (Shard::Replay). The gate is what lets a
+//     the shard is marked retired; they apply through one (record type,
+//     tier) dispatch (Shard::Replay). The gate is what lets a
 //     rebalance drain a shard: writers of *other* shards never contend on
 //     it, and readers never touch it. There is no global key counter:
 //     size() sums the per-shard counts, so writes to disjoint shards share
@@ -94,11 +94,11 @@
 //     each failure to a distinct core::SnapshotStatus. Recovery with a
 //     manifest is *boundary-preserving* and shard-parallel: the
 //     manifest's boundary array is the recovered topology, and each shard
-//     is rebuilt independently on a small thread pool as its segment plus
-//     a delta overlay replayed from its log tail (a merge child's records
-//     are range-filtered back to the shards they came from); a shard
-//     tagged resident is then drained into a ConcurrentAlex, exactly like
-//     a promotion.
+//     is rebuilt independently on a small thread pool as one sorted run:
+//     its segment plus its log tail folded per key (a merge child's
+//     records are range-filtered back to the shards they came from),
+//     merged into a bulk load for a shard tagged resident, or installed
+//     as the overlay of one tagged cold.
 //
 //   Write-ahead logging.   EnableWal attaches one src/wal/ log per shard
 //     and anchors it with a checkpoint. From then on every write is
@@ -107,15 +107,19 @@
 //     lockstep. SaveTo doubles as the checkpoint: it records each log's
 //     LSN in the manifest, rotates the logs, and deletes every log segment
 //     and sorted-run segment the checkpoint made redundant.
-//     LoadFrom doubles as recovery: each shard's log tail (records past
-//     its checkpoint LSN) is replayed in wal-id order (parent-before-child
-//     across shard splits — wal/wal_format.h) onto its segment, through
-//     the same overlay semantics a cold shard's writes use; with no log
-//     tail the same path runs with zero records. A torn final record is
-//     truncated and every other corruption surfaced as a distinct
-//     wal::WalStatus in the RecoveryReport. A shard split seals the
-//     victim's log at the publish LSN (under the same exclusive gate that
-//     drained its writers) and opens fresh segments for the replacements.
+//     LoadFrom doubles as recovery, in three timed phases (read, fold,
+//     build — wal::RecoveryReport): the log files are read and checksummed
+//     on the recovery pool and their lineages anchored; each shard's log
+//     tail (records past its checkpoint LSN, in wal-id order — parent-
+//     before-child across shard splits, wal/wal_format.h — then LSN) is
+//     stable-sorted by key and folded per key with the write ops' exact
+//     semantics (wal::FoldTail); and the folded run is merged with the
+//     shard's segment in one pass. With no log tail the same path runs
+//     with zero records. A torn final record is truncated and every other
+//     corruption surfaced as a distinct wal::WalStatus in the
+//     RecoveryReport. A shard split seals the victim's log at the publish
+//     LSN (under the same exclusive gate that drained its writers) and
+//     opens fresh segments for the replacements.
 //     Recovery linearizes concurrent same-key writes in log order, which
 //     for operations that overlapped in real time may differ from apply
 //     order — either is a valid linearization of the acknowledged
@@ -163,6 +167,7 @@
 #include "tier/segment.h"
 #include "util/epoch.h"
 #include "util/parallel.h"
+#include "util/timer.h"
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 #include "wal/wal_format.h"
@@ -695,6 +700,21 @@ class ShardedAlex {
     return idx < table->shards.size() && table->shards[idx]->cold();
   }
 
+  /// Live keys of shard `idx` (diagnostics/tests).
+  uint64_t ShardTierSize(size_t idx) const {
+    util::EpochManager::Guard guard(epoch_);
+    return table_.load(std::memory_order_seq_cst)->shards.at(idx)->TierSize();
+  }
+
+  /// Delta-overlay entries of shard `idx`, tombstones included; 0 for a
+  /// resident shard (diagnostics/tests).
+  size_t ShardDeltaEntries(size_t idx) const {
+    util::EpochManager::Guard guard(epoch_);
+    return table_.load(std::memory_order_seq_cst)
+        ->shards.at(idx)
+        ->DeltaEntries();
+  }
+
   size_t cold_shard_count() const {
     util::EpochManager::Guard guard(epoch_);
     Table* table = table_.load(std::memory_order_seq_cst);
@@ -892,34 +912,33 @@ class ShardedAlex {
     wal::RecoveryReport* rep = report != nullptr ? report : &local_report;
     if (!have_manifest) {
       // Logs-alone recovery: no checkpoint ever committed, so there is
-      // no topology to preserve — merge everything into one logical map
-      // and partition fresh. Ascending wal-id order is parent-before-
-      // child across topology changes, the only cross-log ordering
-      // replay needs.
-      std::map<K, P> state;
-      // Never physically truncate while the segments might belong to
-      // this index's own live logs (their writers hold fd offsets past
-      // the truncation point).
-      const wal::WalStatus wal_status = wal::ReplayWal<K, P>(
-          prefix, /*checkpoint_lsns=*/{}, &state, rep,
+      // no topology to preserve — fold every log into one sorted run from
+      // empty and partition fresh. Ascending wal-id order is parent-
+      // before-child across topology changes, the only cross-log ordering
+      // replay needs. Never physically truncate while the segments might
+      // belong to this index's own live logs (their writers hold fd
+      // offsets past the truncation point).
+      std::vector<wal::WalRecord<K, P>> tail;
+      const wal::WalStatus wal_status = wal::ReadWalTail<K, P>(
+          prefix, /*checkpoint_lsns=*/{}, &tail, rep,
           /*truncate_torn_tail=*/!was_logging,
-          /*require_known_roots=*/false);
+          /*require_known_roots=*/false, RecoveryWidth());
       if (wal_status != wal::WalStatus::kOk) {
         return core::SnapshotStatus::kWalReplayFailed;
       }
-
+      const util::Timer fold_timer;
+      const std::vector<wal::FoldedKey<K, P>> run =
+          wal::FoldTail(std::move(tail));
+      rep->fold_s = fold_timer.ElapsedSeconds();
+      const util::Timer build_timer;
       std::vector<K> keys;
       std::vector<P> payloads;
-      keys.reserve(state.size());
-      payloads.reserve(state.size());
-      for (const auto& [key, payload] : state) {
-        keys.push_back(key);
-        payloads.push_back(payload);
-      }
+      MergeIntoVectors(run, nullptr, &keys, &payloads);
       next = BuildEvenTable(keys.data(), payloads.data(), keys.size());
+      rep->build_s = build_timer.ElapsedSeconds();
     } else {
       // Boundary-preserving recovery: the manifest's boundary array IS
-      // the recovered topology, and each shard replays independently
+      // the recovered topology, and each shard recovers independently
       // (with no WAL segments at the prefix, onto zero records).
       const core::SnapshotStatus status = RecoverBoundaryPreserving(
           prefix, manifest, &shard_segments, was_logging, rep, &next);
@@ -955,8 +974,11 @@ class ShardedAlex {
     quiesce.clear();
     [[maybe_unused]] const size_t recovered_shards = next->shards.size();
     PublishAndRetireAll(std::move(next));
-    ALEX_OBS_EVENT(obs::EventType::kRecovery, obs::kShardAll, 0, 0,
-                   journal_replayed, recovered_shards);
+    ALEX_OBS_EVENT_PHASES(obs::EventType::kRecovery, obs::kShardAll,
+                          journal_replayed, recovered_shards,
+                          obs::PhaseMicros(rep->read_s),
+                          obs::PhaseMicros(rep->fold_s),
+                          obs::PhaseMicros(rep->build_s));
     return core::SnapshotStatus::kOk;
   }
 
@@ -1232,10 +1254,10 @@ class ShardedAlex {
       return true;
     }
 
-    /// The one (record type, tier) → operation dispatch, for live writes
-    /// (gate held shared, record logged) and recovery alike: ApplyWalRecord
-    /// semantics through a cold shard's overlay or a resident one's tree.
-    /// True when the write changed the shard.
+    /// The one (record type, tier) → operation dispatch of a live write
+    /// (gate held shared, record logged): insert-if-absent, overwrite-if-
+    /// present and erase through a cold shard's overlay or a resident
+    /// one's tree. True when the write changed the shard.
     bool Replay(wal::WalRecordType type, const K& key, const P* payload) {
       switch (type) {
         case wal::WalRecordType::kInsert:
@@ -1251,6 +1273,27 @@ class ShardedAlex {
       }
     }
 
+    /// Recovery's overlay for a fresh cold shard: the folded log tail
+    /// `run` (ascending keys) resolved against the segment, giving exactly
+    /// the entries, tombstones and live count that applying the records
+    /// one by one through TierInsert/TierUpdate/TierErase gives — a
+    /// segment key has an entry iff some record changed it (a tombstone
+    /// if it ends absent), any other key iff it ends present. The shard
+    /// is not yet published, so no lock is taken.
+    void FillOverlay(const std::vector<wal::FoldedKey<K, P>>& run) {
+      uint64_t live = segment->num_keys();
+      for (const wal::FoldedKey<K, P>& folded : run) {
+        P base{};
+        const bool in_segment = segment->Get(folded.key, &base);
+        const wal::FoldOutcome<P>& o = folded.From(in_segment);
+        if (in_segment ? !o.changed : !o.present) continue;
+        if (in_segment && !o.present) --live;
+        if (!in_segment) ++live;
+        delta.emplace_hint(delta.end(), folded.key,
+                           DeltaEntry{o.payload, !o.present});
+      }
+      cold_live.store(live, std::memory_order_relaxed);
+    }
 
     /// Merged scan of a cold shard over [lo, hi]: the overlay slice is
     /// snapshotted under the shared lock (so the segment stream never
@@ -1646,18 +1689,22 @@ class ShardedAlex {
     return true;
   }
 
-  /// Runs fn(i) for i in [0, n) on a small thread pool (the per-shard
-  /// recovery replay is embarrassingly parallel: distinct shards build
-  /// distinct state). The pool itself lives in util::ParallelFor — the
-  /// same pool the scan engine fans out on — with recovery's width policy
-  /// applied here: recovery_threads, clamped to the hardware concurrency
-  /// (replay is CPU-bound; oversubscription only adds contention).
-  template <typename Fn>
-  void ParallelOverShards(size_t n, Fn&& fn) const {
+  /// Recovery's pool width: recovery_threads, clamped to the hardware
+  /// concurrency (recovery is CPU-bound; oversubscription only adds
+  /// contention). The pool itself is util::ParallelFor, the one the scan
+  /// engine fans out on.
+  size_t RecoveryWidth() const {
     size_t workers = std::max<size_t>(1, options_.recovery_threads);
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw > 0) workers = std::min<size_t>(workers, hw);
-    util::ParallelFor(n, workers, std::forward<Fn>(fn));
+    return workers;
+  }
+
+  /// Runs fn(i) for i in [0, n) on the recovery pool (per-shard recovery
+  /// is embarrassingly parallel: distinct shards build distinct state).
+  template <typename Fn>
+  void ParallelOverShards(size_t n, Fn&& fn) const {
+    util::ParallelFor(n, RecoveryWidth(), std::forward<Fn>(fn));
   }
 
   /// Opens and fully audits manifest shard `i`'s segment: structure and
@@ -1698,8 +1745,7 @@ class ShardedAlex {
   }
 
   /// A resident shard holding `source`'s records: one sorted drain of the
-  /// segment + overlay merge into a bulk load. The core of a promotion,
-  /// and how recovery rebuilds a resident-tagged shard from its segment.
+  /// segment + overlay merge into a bulk load. The core of a promotion.
   std::shared_ptr<Shard> MakeResident(const Shard* source) const {
     std::vector<K> keys;
     std::vector<P> payloads;
@@ -1709,25 +1755,55 @@ class ShardedAlex {
     return resident;
   }
 
+  /// The records of `segment` (null: none) with a folded log tail merged
+  /// on top, in ascending key order: one ColdSegment::ScanUntil pass
+  /// feeding wal::MergeTail, straight into bulk-load input.
+  static void MergeIntoVectors(const std::vector<wal::FoldedKey<K, P>>& run,
+                               const tier::ColdSegment<K, P>* segment,
+                               std::vector<K>* keys, std::vector<P>* payloads) {
+    const size_t bound = run.size() + (segment ? segment->num_keys() : 0);
+    keys->reserve(bound);
+    payloads->reserve(bound);
+    wal::MergeTail(
+        run,
+        [&](auto&& visit) {
+          if (segment == nullptr) return;
+          segment->ScanUntil(std::numeric_limits<K>::lowest(),
+                             std::numeric_limits<K>::max(), visit);
+        },
+        [&](const K& key, const P& payload) {
+          keys->push_back(key);
+          payloads->push_back(payload);
+        });
+  }
+
   /// Rebuilds the table with the manifest's exact boundary array, each
-  /// shard recovered independently and in one way:
-  /// its audited segment (`(*segments)[i]`, null for a zero-key shard)
-  /// plus every log lineage rooted at its checkpoint anchor, replayed in
-  /// ascending wal-id order through the shard's own write semantics — the
-  /// delta overlay over a segment, the tree of an empty shard. A shard
-  /// tagged resident is then drained into a ConcurrentAlex (MakeResident);
-  /// one tagged cold keeps its segment and overlay. A topology child's
-  /// records are range-filtered back to the manifest shards its parents
-  /// anchor (a merge child spans several; each key's full history threads
-  /// through logs of ascending id, so the filtered per-shard order is the
-  /// true per-key order). Shards replay in parallel on a small thread
-  /// pool — no two shards share mutable state. Fills one ShardReplayStats
-  /// per shard in `rep->shards`.
+  /// shard recovered independently, as one sorted run over its audited
+  /// segment (`(*segments)[i]`, null for a zero-key shard):
+  ///   read   every log once (files checksummed on the recovery pool) and
+  ///          anchor the lineage graph;
+  ///   fold   per shard, gather the records of every lineage rooted at its
+  ///          checkpoint anchor — ascending wal id, then LSN, past the
+  ///          checkpoint LSN — and fold them (wal::FoldTail: one stable
+  ///          sort by key, then each key's records in replay order);
+  ///   build  a shard tagged resident (or with no segment) merges the run
+  ///          with one segment scan straight into a ConcurrentAlex bulk
+  ///          load; one tagged cold keeps its segment and gets the run as
+  ///          its overlay (Shard::FillOverlay), exactly the overlay that
+  ///          applying the records one by one would leave.
+  /// A topology child's records are range-filtered back to the manifest
+  /// shards its parents anchor (a merge child spans several; each key's
+  /// full history threads through logs of ascending id, so the filtered
+  /// per-shard order is the true per-key order). Both per-shard phases run
+  /// on the recovery pool — no two shards share mutable state — and each
+  /// phase's wall time lands in the report. Fills one ShardReplayStats per
+  /// shard in `rep->shards`.
   core::SnapshotStatus RecoverBoundaryPreserving(
       const std::string& prefix, const ShardManifest<K>& manifest,
       std::vector<std::shared_ptr<tier::ColdSegment<K, P>>>* segments,
       bool was_logging, wal::RecoveryReport* rep,
       std::unique_ptr<Table>* out) {
+    const util::Timer read_timer;
     std::map<uint64_t, uint64_t> checkpoints;
     std::map<uint64_t, size_t> root_shard;
     for (size_t i = 0; i < manifest.wal_ids.size(); ++i) {
@@ -1744,11 +1820,13 @@ class ShardedAlex {
     std::vector<wal::WalLineage<K, P>> lineages;
     wal::WalStatus ws = wal::ReadWalLineages<K, P>(
         prefix, checkpoints, &lineages, rep,
-        /*truncate_torn_tail=*/!was_logging);
+        /*truncate_torn_tail=*/!was_logging, RecoveryWidth());
     if (ws == wal::WalStatus::kOk) {
       ws = wal::AnchorLineages(&lineages, checkpoints,
-                               /*require_known_roots=*/true, rep);
+                               /*require_known_roots=*/true, rep,
+                               manifest.next_wal_id);
     }
+    rep->read_s = read_timer.ElapsedSeconds();
     if (ws != wal::WalStatus::kOk) {
       return core::SnapshotStatus::kWalReplayFailed;
     }
@@ -1779,24 +1857,16 @@ class ShardedAlex {
       owners[lineages[l].wal_id] = shards_of;
     }
 
+    // Fold: workers touch disjoint slots of `runs` and rep->shards.
+    const util::Timer fold_timer;
     const size_t n = manifest.num_shards();
-    auto next = std::make_unique<Table>();
-    next->router = ShardRouter<K>(manifest.boundaries);
-    next->shards.resize(n);
+    std::vector<std::vector<wal::FoldedKey<K, P>>> runs(n);
     rep->shards.assign(n, wal::ShardReplayStats{});
-    Table* next_raw = next.get();
-    // Per-shard replay, in parallel: workers touch disjoint slots of
-    // next->shards and rep->shards.
     ParallelOverShards(n, [&](size_t i) {
-      wal::ShardReplayStats& stats = (*rep).shards[i];
+      wal::ShardReplayStats& stats = rep->shards[i];
       stats.shard = i;
       stats.wal_id = manifest.wal_ids.size() > i ? manifest.wal_ids[i] : 0;
-      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
-      if ((*segments)[i] != nullptr) {
-        shard->cold_live.store((*segments)[i]->num_keys(),
-                               std::memory_order_relaxed);
-        shard->segment = std::move((*segments)[i]);
-      }
+      std::vector<wal::WalRecord<K, P>> tail;
       for (size_t l = 0; l < lineages.size(); ++l) {
         if (std::find(feeds[l].begin(), feeds[l].end(), i) ==
             feeds[l].end()) {
@@ -1809,15 +1879,38 @@ class ShardedAlex {
             ++stats.records_skipped;
             continue;
           }
-          shard->Replay(rec.type, rec.key, &rec.payload);
+          tail.push_back(rec);
           ++stats.records_replayed;
         }
       }
-      if (shard->cold() && !manifest.IsCold(i)) {
-        shard = MakeResident(shard.get());
+      runs[i] = wal::FoldTail(std::move(tail));
+    });
+    std::vector<wal::WalLineage<K, P>>().swap(lineages);
+    rep->fold_s = fold_timer.ElapsedSeconds();
+
+    // Build: workers touch disjoint slots of next->shards.
+    const util::Timer build_timer;
+    auto next = std::make_unique<Table>();
+    next->router = ShardRouter<K>(manifest.boundaries);
+    next->shards.resize(n);
+    Table* next_raw = next.get();
+    ParallelOverShards(n, [&](size_t i) {
+      auto shard = std::make_shared<Shard>(options_.shard_config, &epoch_);
+      std::shared_ptr<tier::ColdSegment<K, P>>& segment = (*segments)[i];
+      if (segment != nullptr && manifest.IsCold(i)) {
+        shard->segment = std::move(segment);
+        shard->FillOverlay(runs[i]);
+      } else {
+        std::vector<K> keys;
+        std::vector<P> payloads;
+        MergeIntoVectors(runs[i], segment.get(), &keys, &payloads);
+        segment.reset();
+        std::vector<wal::FoldedKey<K, P>>().swap(runs[i]);
+        shard->index.BulkLoad(keys.data(), payloads.data(), keys.size());
       }
       next_raw->shards[i] = std::move(shard);
     });
+    rep->build_s = build_timer.ElapsedSeconds();
     for (const wal::ShardReplayStats& stats : rep->shards) {
       rep->records_replayed += stats.records_replayed;
       rep->records_skipped += stats.records_skipped;

@@ -13,20 +13,27 @@
 // corruption and maps to its distinct WalStatus instead.
 //
 // Replay is layered so the shard layer can reuse the validated pieces:
-// ReadWalLineages groups segments by wal id, chains each group by
-// (seq, start_lsn) so a rotation hole is detected, and returns one
-// WalLineage per log — its parents (segment header + kTopology record,
-// so merge/rebalance children list every parent), checkpoint LSN, and
+// ReadWalLineages reads every segment file (in parallel, on a small
+// pool), then groups them by wal id, chains each group by (seq,
+// start_lsn) so a rotation hole is detected, and returns one WalLineage
+// per log — its parents (segment header + kTopology record, so
+// merge/rebalance children list every parent), checkpoint LSN, and
 // intact records. AnchorLineages walks the lineage graph in ascending
 // wal-id order (parent-before-child by construction, wal_format.h) and
 // marks each lineage whose baseline is provably in the snapshot; with
 // require_known_roots, an orphan lineage holding records fails instead
-// of silently replaying over the wrong baseline. ReplayWal composes the
-// two and applies anchored records into one logical map (the
-// no-manifest recovery path); ShardedAlex::LoadFrom composes them with
-// its own per-shard parallel apply (boundary-preserving recovery).
-// Records at or below a log's checkpoint LSN are skipped (their effect
-// is already in the snapshot), making replay idempotent.
+// of silently replaying over the wrong baseline. Records at or below a
+// log's checkpoint LSN are skipped (their effect is already in the
+// snapshot), making replay idempotent.
+//
+// Applying a tail is one mechanism, a sorted run in the manner of a
+// log-structured merge (O'Neil et al., "The Log-Structured Merge-Tree",
+// Acta Informatica 1996): FoldTail stable-sorts the gathered records by
+// key and folds each key's records into one FoldedKey, and MergeTail
+// merges that run with a sorted base stream in one pass. ReplayWal
+// composes the pieces onto a std::map; ShardedAlex::LoadFrom composes them
+// per shard, in parallel (boundary-preserving recovery), and once over
+// every log when no manifest exists.
 #pragma once
 
 #include <sys/stat.h>
@@ -38,8 +45,11 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "util/parallel.h"
+#include "util/timer.h"
 #include "wal/wal_format.h"
 
 namespace alex::wal {
@@ -220,14 +230,22 @@ struct ShardReplayStats {
 /// What a recovery replay did, for operators and tests. `status` mirrors
 /// the returned status; `detail` names the offending file on failure.
 /// `shards` breaks the aggregate counts down per shard (with a
-/// manifest) or per lineage (without one).
+/// manifest) or per lineage (without one). The three durations are wall
+/// time and split recovery by layer; they sum to less than the whole
+/// LoadFrom, which also opens and audits the checkpoint's segments.
 struct RecoveryReport {
   WalStatus status = WalStatus::kOk;
   size_t segments_scanned = 0;
   size_t records_replayed = 0;
   size_t records_skipped = 0;  ///< at or below their log's checkpoint LSN
+  /// Lineages on disk that recovery did not replay: superseded by the
+  /// checkpoint, or orphans that acknowledged nothing (AnchorLineages).
+  size_t lineages_skipped = 0;
   bool tail_truncated = false;
   uint64_t max_wal_id = 0;  ///< highest wal id seen on disk
+  double read_s = 0;   ///< read, checksum, chain-check and anchor the logs
+  double fold_s = 0;   ///< gather each tail, sort it by key, fold each key
+  double build_s = 0;  ///< merge with the base, bulk-load or fill overlays
   std::string detail;
   std::vector<ShardReplayStats> shards;
 };
@@ -250,21 +268,48 @@ struct WalLineage {
 
 /// Reads and validates every WAL segment of `prefix`, grouped into one
 /// WalLineage per wal id (ascending id order — parent-before-child).
-/// Validates each lineage's segment chain: the first remaining segment
-/// must start at or below the checkpoint LSN and each later one must
-/// resume exactly where its predecessor ended (a hole means a rotation
-/// deleted records the snapshot never captured → kSegmentGap). A torn
-/// final record is tolerated and, with `truncate_torn_tail`, physically
-/// truncated away. Fills the report's segments_scanned / max_wal_id /
-/// tail_truncated; on failure, status and detail.
+/// The files are read and checksummed on up to `threads` workers; every
+/// check that relates files — the chain, the gap and torn-tail rules, the
+/// truncation — then runs serially in file order. The first remaining
+/// segment of a log must start at or below the checkpoint LSN and each
+/// later one must resume exactly where its predecessor ended (a hole means
+/// a rotation deleted records the snapshot never captured → kSegmentGap).
+/// A torn final record is tolerated and, with `truncate_torn_tail`,
+/// physically truncated away. Fills the report's segments_scanned /
+/// max_wal_id / tail_truncated; on failure, status and detail (the first
+/// bad file in file order, as a serial read would name).
 template <typename K, typename P>
 WalStatus ReadWalLineages(
     const std::string& prefix,
     const std::map<uint64_t, uint64_t>& checkpoint_lsns,
     std::vector<WalLineage<K, P>>* out, RecoveryReport* rep,
-    bool truncate_torn_tail) {
+    bool truncate_torn_tail, size_t threads = 1) {
   out->clear();
   const std::vector<WalSegmentFile> files = ListWalSegments(prefix);
+  struct FileRead {
+    bool header_stub = false;  // shorter than a segment header
+    WalStatus status = WalStatus::kOk;
+    WalSegmentInfo info;
+    std::vector<WalRecord<K, P>> records;
+  };
+  std::vector<FileRead> reads(files.size());
+  const auto last_of_log = [&](size_t i) {
+    return i + 1 >= files.size() || files[i + 1].wal_id != files[i].wal_id;
+  };
+  util::ParallelFor(files.size(), threads, [&](size_t i) {
+    // A crash can tear even the segment *header* of the newest segment
+    // (written but never synced). Tolerate a short file only when it is
+    // the last segment of its log — it cannot have held acknowledged
+    // records; anywhere else a short file is real damage.
+    struct ::stat st;
+    if (last_of_log(i) && ::stat(files[i].path.c_str(), &st) == 0 &&
+        static_cast<size_t>(st.st_size) < sizeof(WalSegmentHeader)) {
+      reads[i].header_stub = true;
+      return;
+    }
+    reads[i].status = ReadWalSegment<K, P>(files[i].path, &reads[i].info,
+                                           &reads[i].records);
+  });
   size_t i = 0;
   while (i < files.size()) {
     const uint64_t wal_id = files[i].wal_id;
@@ -279,28 +324,17 @@ WalStatus ReadWalLineages(
     bool have_segment = false;
     uint64_t header_parent = 0;
     for (; i < files.size() && files[i].wal_id == wal_id; ++i) {
-      // A crash can tear even the segment *header* of the newest segment
-      // (written but never synced). Tolerate a short file only when it is
-      // the last segment of its log — it cannot have held acknowledged
-      // records; anywhere else a short file is real damage.
-      struct ::stat st;
-      const bool last_of_log = i + 1 >= files.size() ||
-                               files[i + 1].wal_id != wal_id;
-      if (last_of_log && ::stat(files[i].path.c_str(), &st) == 0 &&
-          static_cast<size_t>(st.st_size) < sizeof(WalSegmentHeader)) {
-        ++rep->segments_scanned;
+      FileRead& read = reads[i];
+      ++rep->segments_scanned;
+      if (read.header_stub) {
         rep->tail_truncated = true;
         continue;
       }
-      WalSegmentInfo info;
-      std::vector<WalRecord<K, P>> records;
-      const WalStatus status =
-          ReadWalSegment<K, P>(files[i].path, &info, &records);
-      ++rep->segments_scanned;
-      if (status != WalStatus::kOk) {
+      if (read.status != WalStatus::kOk) {
         rep->detail = files[i].path;
-        return rep->status = status;
+        return rep->status = read.status;
       }
+      const WalSegmentInfo& info = read.info;
       // The remaining segments must cover everything past the
       // checkpoint: the first one must start at or before it, and each
       // later one must resume exactly where its predecessor ended.
@@ -330,8 +364,12 @@ WalStatus ReadWalLineages(
         // later segment of the same wal id would have started past the
         // lost records, which the chain check above reports as a gap.
       }
-      for (WalRecord<K, P>& rec : records) {
-        lineage.records.push_back(std::move(rec));
+      if (lineage.records.empty()) {
+        lineage.records = std::move(read.records);
+      } else {
+        lineage.records.insert(lineage.records.end(), read.records.begin(),
+                               read.records.end());
+        std::vector<WalRecord<K, P>>().swap(read.records);
       }
     }
     if (!have_segment) continue;  // only a torn header stub
@@ -353,19 +391,27 @@ WalStatus ReadWalLineages(
 /// its auto-checkpoint): replaying them over the older snapshot would
 /// silently produce wrong contents, so an orphan with records fails
 /// with kSegmentGap, while an empty orphan (nothing acknowledged) is
-/// skipped. One more orphan shape is benign: a lineage some *known*
-/// lineage names as its parent is a topology victim *superseded* by
-/// the checkpoint that anchored its child — the snapshot already holds
-/// its full effects (the victim was sealed before the child could
-/// acknowledge anything), and only the crash window between a
-/// checkpoint's manifest rename and its segment sweep leaves it on
-/// disk. It is skipped, not fatal, so such a crash never wedges
-/// recovery. Without the flag everything anchors (logs-alone
-/// recovery).
+/// skipped. Two orphan shapes are benign, superseded by the checkpoint:
+///   - a lineage some *known* lineage names as an ancestor: a topology
+///     victim, whose full effects the snapshot holds through its
+///     checkpointed children (it was sealed before a child could
+///     acknowledge anything);
+///   - a lineage whose id is below `next_wal_id`, the checkpoint's wal-id
+///     counter: it was opened before the checkpoint, which named every
+///     log then live, so it had ended (sealed by a bulk load, EnableWal
+///     or a topology change) and its effects are in the snapshot.
+/// Only the crash window between a checkpoint's manifest rename and its
+/// segment sweep leaves either on disk; both are skipped, not fatal, so
+/// such a crash never wedges recovery. A lineage at or above
+/// `next_wal_id` was opened after the checkpoint and stays an orphan
+/// (0, for a checkpoint that logged nothing, supersedes nothing). Without
+/// `require_known_roots` everything anchors (logs-alone recovery). Every
+/// skipped lineage counts in rep->lineages_skipped.
 template <typename K, typename P>
 WalStatus AnchorLineages(std::vector<WalLineage<K, P>>* lineages,
                          const std::map<uint64_t, uint64_t>& checkpoint_lsns,
-                         bool require_known_roots, RecoveryReport* rep) {
+                         bool require_known_roots, RecoveryReport* rep,
+                         uint64_t next_wal_id = 0) {
   std::vector<uint64_t> anchored;
   for (const auto& [id, lsn] : checkpoint_lsns) {
     (void)lsn;
@@ -395,15 +441,16 @@ WalStatus AnchorLineages(std::vector<WalLineage<K, P>>* lineages,
                                         parent) != anchored.end();
     }
     if (require_known_roots && !lineage.known && !parents_anchored) {
-      if (std::find(superseded.begin(), superseded.end(),
-                    lineage.wal_id) != superseded.end()) {
-        continue;  // superseded victim: already in the snapshot, skip
-      }
-      if (!lineage.records.empty()) {
+      const bool benign =
+          lineage.wal_id < next_wal_id || lineage.records.empty() ||
+          std::find(superseded.begin(), superseded.end(), lineage.wal_id) !=
+              superseded.end();
+      if (!benign) {
         rep->detail = lineage.last_path;
         return rep->status = WalStatus::kSegmentGap;
       }
-      continue;  // empty orphan: nothing was acknowledged, skip it
+      ++rep->lineages_skipped;  // superseded, or acknowledged nothing
+      continue;
     }
     lineage.anchored = true;
     anchored.push_back(lineage.wal_id);
@@ -411,55 +458,142 @@ WalStatus AnchorLineages(std::vector<WalLineage<K, P>>* lineages,
   return WalStatus::kOk;
 }
 
-/// Applies one record to the logical map with the index ops' exact
-/// semantics (insert-if-absent / overwrite-if-present / erase); replay
-/// of a logged-but-failed operation is therefore the same no-op.
-template <typename K, typename P>
-void ApplyWalRecord(const WalRecord<K, P>& rec, std::map<K, P>* state) {
-  switch (rec.type) {
-    case WalRecordType::kInsert:
-      state->emplace(rec.key, rec.payload);
-      break;
-    case WalRecordType::kUpdate: {
-      auto it = state->find(rec.key);
-      if (it != state->end()) it->second = rec.payload;
-      break;
+/// One key's outcome after its records, folded from one starting state.
+template <typename P>
+struct FoldOutcome {
+  bool present = false;
+  /// Some record applied (an insert of an absent key, an update or an
+  /// erase of a present one). A present key no record changed keeps its
+  /// starting payload.
+  bool changed = false;
+  P payload{};  ///< the final payload, when changed
+
+  /// The index ops' exact semantics: insert-if-absent, overwrite-if-
+  /// present, erase. A logged-but-failed operation is the same no-op.
+  template <typename K>
+  void Apply(const WalRecord<K, P>& rec) {
+    switch (rec.type) {
+      case WalRecordType::kInsert:
+        if (present) return;
+        present = true;
+        payload = rec.payload;
+        break;
+      case WalRecordType::kUpdate:
+        if (!present) return;
+        payload = rec.payload;
+        break;
+      case WalRecordType::kErase:
+        if (!present) return;
+        present = false;
+        break;
+      case WalRecordType::kSeal:
+      case WalRecordType::kTopology:
+        return;  // never materialized as data records
     }
-    case WalRecordType::kErase:
-      state->erase(rec.key);
-      break;
-    case WalRecordType::kSeal:
-    case WalRecordType::kTopology:
-      break;  // never materialized as data records
+    changed = true;
   }
+};
+
+/// One key of a folded log tail: the key's final state after all its
+/// records, in replay order, from either starting state. The fold needs
+/// no look at the base the tail applies to; a merge resolves each key
+/// against it afterwards.
+template <typename K, typename P>
+struct FoldedKey {
+  K key{};
+  FoldOutcome<P> from_absent;
+  FoldOutcome<P> from_present{true, false, P{}};
+
+  const FoldOutcome<P>& From(bool base_present) const {
+    return base_present ? from_present : from_absent;
+  }
+
+  /// Final state over a base that holds the key with `*base` (null: the
+  /// base lacks it). True when the key ends present, with `*out` set.
+  bool Resolve(const P* base, P* out) const {
+    const FoldOutcome<P>& o = From(base != nullptr);
+    if (!o.present) return false;
+    *out = o.changed ? o.payload : *base;
+    return true;
+  }
+};
+
+/// The fold: sorts a log tail — records gathered in replay order (wal id,
+/// then LSN) — by key, stably, so each key's records keep replay order,
+/// then folds each key's records into one FoldedKey. Returns the keys in
+/// ascending order. Folding a key's records in replay order is exactly
+/// what applying the whole tail record by record does to that key, since
+/// every op touches one key only.
+template <typename K, typename P>
+std::vector<FoldedKey<K, P>> FoldTail(std::vector<WalRecord<K, P>> records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const WalRecord<K, P>& a, const WalRecord<K, P>& b) {
+                     return a.key < b.key;
+                   });
+  std::vector<FoldedKey<K, P>> run;
+  for (size_t i = 0; i < records.size();) {
+    FoldedKey<K, P> folded;
+    folded.key = records[i].key;
+    for (; i < records.size() && !(folded.key < records[i].key); ++i) {
+      folded.from_absent.Apply(records[i]);
+      folded.from_present.Apply(records[i]);
+    }
+    run.push_back(folded);
+  }
+  return run;
 }
 
-/// Replays every WAL segment of `prefix` into `state` (the logical
-/// key-payload map recovered so far, typically pre-seeded from the
-/// snapshot). `checkpoint_lsns` maps wal id -> highest LSN already
-/// captured by the snapshot; unknown wal ids replay from LSN 0. When
-/// `truncate_torn_tail` is set, a torn final record is physically
-/// truncated away so a second recovery sees a clean log.
-/// ReadWalLineages + AnchorLineages + one sequential apply pass in
-/// ascending wal-id order; the report gains one per-lineage stats entry
-/// (shard = SIZE_MAX — this path has no manifest to name shards).
+/// Merges a folded run with a sorted base in one pass: `scan_base(visit)`
+/// streams the base's records in ascending key order to a
+/// `visit(key, payload)` that returns true; `emit(key, payload)` receives
+/// every record of the result, ascending.
+template <typename K, typename P, typename ScanBase, typename Emit>
+void MergeTail(const std::vector<FoldedKey<K, P>>& run, ScanBase&& scan_base,
+               Emit&& emit) {
+  size_t r = 0;
+  P out{};
+  // Emits the run's keys below `*bound` (all remaining ones when null),
+  // each resolved over a base that lacks it.
+  const auto emit_run_below = [&](const K* bound) {
+    for (; r < run.size() && (bound == nullptr || run[r].key < *bound);
+         ++r) {
+      if (run[r].Resolve(nullptr, &out)) emit(run[r].key, out);
+    }
+  };
+  scan_base([&](const K& key, const P& payload) {
+    emit_run_below(&key);
+    if (r < run.size() && !(key < run[r].key)) {
+      if (run[r++].Resolve(&payload, &out)) emit(key, out);
+    } else {
+      emit(key, payload);
+    }
+    return true;
+  });
+  emit_run_below(nullptr);
+}
+
+/// Reads and anchors every lineage of `prefix` (ReadWalLineages +
+/// AnchorLineages) and gathers the records of every anchored one past
+/// its checkpoint LSN, in replay order, into `tail`. The report gains
+/// one per-lineage stats entry (shard = SIZE_MAX: no manifest names
+/// shards here) and read_s.
 template <typename K, typename P>
-WalStatus ReplayWal(const std::string& prefix,
-                    const std::map<uint64_t, uint64_t>& checkpoint_lsns,
-                    std::map<K, P>* state, RecoveryReport* report,
-                    bool truncate_torn_tail = true,
-                    bool require_known_roots = false) {
-  RecoveryReport local;
-  RecoveryReport* rep = report != nullptr ? report : &local;
-  *rep = RecoveryReport{};
+WalStatus ReadWalTail(const std::string& prefix,
+                      const std::map<uint64_t, uint64_t>& checkpoint_lsns,
+                      std::vector<WalRecord<K, P>>* tail,
+                      RecoveryReport* rep, bool truncate_torn_tail,
+                      bool require_known_roots, size_t threads) {
+  const util::Timer timer;
   std::vector<WalLineage<K, P>> lineages;
-  WalStatus status = ReadWalLineages<K, P>(prefix, checkpoint_lsns,
-                                           &lineages, rep,
-                                           truncate_torn_tail);
+  WalStatus status = ReadWalLineages<K, P>(
+      prefix, checkpoint_lsns, &lineages, rep, truncate_torn_tail, threads);
+  if (status == WalStatus::kOk) {
+    status = AnchorLineages(&lineages, checkpoint_lsns, require_known_roots,
+                            rep);
+  }
+  rep->read_s = timer.ElapsedSeconds();
   if (status != WalStatus::kOk) return status;
-  status = AnchorLineages(&lineages, checkpoint_lsns, require_known_roots,
-                          rep);
-  if (status != WalStatus::kOk) return status;
+  tail->clear();
   for (const WalLineage<K, P>& lineage : lineages) {
     if (!lineage.anchored) continue;
     ShardReplayStats stats;
@@ -470,13 +604,52 @@ WalStatus ReplayWal(const std::string& prefix,
         ++stats.records_skipped;
         continue;
       }
-      ApplyWalRecord(rec, state);
+      tail->push_back(rec);
       ++stats.records_replayed;
     }
     rep->records_replayed += stats.records_replayed;
     rep->records_skipped += stats.records_skipped;
     rep->shards.push_back(stats);
   }
+  return WalStatus::kOk;
+}
+
+/// Replays every WAL segment of `prefix` onto `state` (the logical
+/// key-payload map recovered so far, typically pre-seeded from the
+/// snapshot). `checkpoint_lsns` maps wal id -> highest LSN already
+/// captured by the snapshot; unknown wal ids replay from LSN 0. When
+/// `truncate_torn_tail` is set, a torn final record is physically
+/// truncated away so a second recovery sees a clean log.
+/// ReadWalTail, FoldTail, then one MergeTail over the map.
+template <typename K, typename P>
+WalStatus ReplayWal(const std::string& prefix,
+                    const std::map<uint64_t, uint64_t>& checkpoint_lsns,
+                    std::map<K, P>* state, RecoveryReport* report,
+                    bool truncate_torn_tail = true,
+                    bool require_known_roots = false) {
+  RecoveryReport local;
+  RecoveryReport* rep = report != nullptr ? report : &local;
+  *rep = RecoveryReport{};
+  std::vector<WalRecord<K, P>> tail;
+  const WalStatus status =
+      ReadWalTail<K, P>(prefix, checkpoint_lsns, &tail, rep,
+                        truncate_torn_tail, require_known_roots, 1);
+  if (status != WalStatus::kOk) return status;
+  const util::Timer fold_timer;
+  const std::vector<FoldedKey<K, P>> run = FoldTail(std::move(tail));
+  rep->fold_s = fold_timer.ElapsedSeconds();
+  const util::Timer build_timer;
+  std::map<K, P> merged;
+  MergeTail(
+      run,
+      [&](auto&& visit) {
+        for (const auto& [key, payload] : *state) visit(key, payload);
+      },
+      [&](const K& key, const P& payload) {
+        merged.emplace_hint(merged.end(), key, payload);
+      });
+  state->swap(merged);
+  rep->build_s = build_timer.ElapsedSeconds();
   return rep->status = WalStatus::kOk;
 }
 

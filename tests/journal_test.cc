@@ -191,6 +191,38 @@ TEST_F(JournalTest, LifecycleSeamsJournalTheirEvents) {
   test_util::RemovePrefixFiles(prefix);
 }
 
+// kRecovery carries the report's read/fold/build durations, and the JSON
+// form spells them out.
+TEST_F(JournalTest, RecoveryEventCarriesPhaseDurations) {
+  const std::string prefix = TempPrefix("journal_recovery_phases");
+  test_util::RemovePrefixFiles(prefix);
+  {
+    shard::ShardedOptions options;
+    options.num_shards = 2;
+    Sharded index(options);
+    ASSERT_EQ(index.EnableWal(prefix), wal::WalStatus::kOk);
+    for (int64_t i = 0; i < 8192; ++i) ASSERT_TRUE(index.Insert(i, i));
+  }  // crash
+  obs::SetEnabled(true);
+  Sharded loaded;
+  wal::RecoveryReport report;
+  ASSERT_EQ(loaded.LoadFrom(prefix, &report), core::SnapshotStatus::kOk);
+  JournalEvent e;
+  ASSERT_TRUE(FindNewest(EventType::kRecovery, &e));
+  EXPECT_EQ(e.a, 8192);
+  EXPECT_EQ(e.phase_us[0], obs::PhaseMicros(report.read_s));
+  EXPECT_EQ(e.phase_us[1], obs::PhaseMicros(report.fold_s));
+  EXPECT_EQ(e.phase_us[2], obs::PhaseMicros(report.build_s));
+  EXPECT_GT(e.phase_us[0], 0u);
+  EXPECT_GT(e.phase_us[1], 0u);
+  EXPECT_GT(e.phase_us[2], 0u);
+  const std::string json = obs::EventToJson(e);
+  EXPECT_NE(json.find("\"phase_us\": [" + std::to_string(e.phase_us[0]) +
+                      ", "),
+            std::string::npos);
+  test_util::RemovePrefixFiles(prefix);
+}
+
 // Forced splits must journal kTopologySplit with the victim's identity.
 TEST_F(JournalTest, ForcedSplitJournalsTopologyEvent) {
   obs::SetEnabled(true);

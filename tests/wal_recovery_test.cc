@@ -2,8 +2,11 @@
 // the kill-and-recover acceptance scenario, recovery edge cases (empty
 // log, replay idempotence, torn tail, mid-segment corruption, recovery
 // across a shard split), sync-policy coverage, concurrent writers
-// against the logged write path (a TSan target), and writers racing the
-// anchor checkpoint of EnableWal and a logging BulkLoad.
+// against the logged write path (a TSan target), writers racing the
+// anchor checkpoint of EnableWal and a logging BulkLoad, crashes before
+// those checkpoints sweep the logs they superseded, the sorted-run
+// recovery of every shard shape against a seeded sequential oracle, and
+// the report's per-phase timing.
 #include "shard/sharded_alex.h"
 
 #include <gtest/gtest.h>
@@ -12,12 +15,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/timer.h"
 #include "wal/log_reader.h"
 #include "wal/wal_format.h"
 #include "scan_test_util.h"
@@ -719,6 +727,294 @@ TEST(WalRecoveryTest, NoWriteIsAcknowledgedBeforeItsLogIsAnchored) {
     EXPECT_EQ(unanchored.load(), 0u) << "round " << round;
     test_util::RemovePrefixFiles(prefix);
   }
+}
+
+/// Copies every WAL segment at `prefix` aside; RestoreSweptSegments puts
+/// back the ones removed since, recreating the on-disk state of a crash
+/// between a checkpoint's manifest rename and its segment sweep.
+std::vector<std::string> StashSegments(const std::string& prefix) {
+  std::vector<std::string> paths;
+  for (const wal::WalSegmentFile& f : wal::ListWalSegments(prefix)) {
+    std::filesystem::copy_file(
+        f.path, f.path + ".stash",
+        std::filesystem::copy_options::overwrite_existing);
+    paths.push_back(f.path);
+  }
+  return paths;
+}
+
+size_t RestoreSweptSegments(const std::vector<std::string>& paths) {
+  size_t restored = 0;
+  for (const std::string& path : paths) {
+    if (!std::filesystem::exists(path)) {
+      std::filesystem::copy_file(path + ".stash", path);
+      ++restored;
+    }
+    std::filesystem::remove(path + ".stash");
+  }
+  return restored;
+}
+
+TEST(WalRecoveryTest, CrashBeforeALoggingBulkLoadSweepsTheOldLogsRecovers) {
+  // A logging BulkLoad seals the old logs, anchors fresh ones with a
+  // checkpoint, then sweeps the old ones. A crash before the sweep leaves
+  // them on disk: they hold records, the new manifest does not know them,
+  // and no known log names them as a parent — but their ids are below
+  // the manifest's wal-id counter, so the checkpoint superseded them.
+  // Recovery must skip them, not fail on an orphan.
+  const std::string prefix = TempPrefix("recover-bulkload-sweep");
+  test_util::RemovePrefixFiles(prefix);
+  std::vector<int64_t> keys, payloads;
+  for (int64_t k = 0; k < 3000; ++k) {
+    keys.push_back(k * 3);
+    payloads.push_back(k);
+  }
+  {
+    Sharded index(Opts(4));
+    index.BulkLoad(keys.data(), payloads.data(), 1000);
+    ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kNone)),
+              WalStatus::kOk);
+    for (int64_t k = 1; k < 800; k += 3) {
+      ASSERT_TRUE(index.Insert(k, -k));  // in the soon-superseded logs
+    }
+    const std::vector<std::string> stash = StashSegments(prefix);
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    ASSERT_EQ(index.last_wal_error(), WalStatus::kOk);
+    ASSERT_GT(RestoreSweptSegments(stash), 0u) << "the load swept no log";
+    ASSERT_TRUE(index.Insert(-5, 5));  // a post-load write, in a new log
+  }  // crash
+  Sharded recovered(Opts(4));
+  wal::RecoveryReport report;
+  ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+  EXPECT_EQ(report.status, WalStatus::kOk);
+  EXPECT_GT(report.lineages_skipped, 0u);
+  EXPECT_EQ(report.records_replayed, 1u);
+  ASSERT_EQ(recovered.size(), keys.size() + 1);
+  int64_t v = 0;
+  EXPECT_FALSE(recovered.Contains(1));  // stale pre-load write not replayed
+  ASSERT_TRUE(recovered.Get(-5, &v));
+  EXPECT_EQ(v, 5);
+  ASSERT_TRUE(recovered.Get(2997, &v));
+  EXPECT_EQ(v, 999);
+  EXPECT_TRUE(recovered.CheckInvariants());
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(WalRecoveryTest, CrashBeforeEnableWalSweepsTheReplayedLogsRecovers) {
+  // The same window after a restart: EnableWal's anchor checkpoint
+  // supersedes the logs LoadFrom just replayed, and a crash before its
+  // sweep leaves them beside the new manifest.
+  const std::string prefix = TempPrefix("recover-enable-sweep");
+  test_util::RemovePrefixFiles(prefix);
+  {
+    Sharded index(Opts(2));
+    ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kNone)),
+              WalStatus::kOk);
+    for (int64_t k = 0; k < 400; ++k) ASSERT_TRUE(index.Insert(k, k * 7));
+  }  // crash 1
+  {
+    Sharded index(Opts(2));
+    ASSERT_EQ(index.LoadFrom(prefix), SnapshotStatus::kOk);
+    const std::vector<std::string> stash = StashSegments(prefix);
+    ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kNone)),
+              WalStatus::kOk);
+    ASSERT_GT(RestoreSweptSegments(stash), 0u) << "EnableWal swept no log";
+    for (int64_t k = 400; k < 500; ++k) ASSERT_TRUE(index.Insert(k, k * 7));
+    ASSERT_TRUE(index.Update(3, 21));  // same value, still a logged write
+  }  // crash 2
+  Sharded recovered(Opts(2));
+  wal::RecoveryReport report;
+  ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+  EXPECT_GT(report.lineages_skipped, 0u);
+  EXPECT_EQ(report.records_replayed, 101u);
+  ExpectDenseContents(recovered, 500);
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(WalRecoveryTest, FoldedRecoveryMatchesSequentialOracle) {
+  // One seeded random history, checked op by op against a std::map
+  // oracle, recovers four shard shapes at once:
+  //   shard 0  resident-tagged over a segment (merged into a bulk load);
+  //   shard 1  cold-tagged (its tail becomes the overlay);
+  //   shard 2  zero keys at the checkpoint (no segment);
+  //   shards 2-3 rebalanced after the checkpoint, so the children's logs
+  //            are range-filtered back into both manifest shards.
+  // Ops hit even keys; the bulk load holds multiples of 4 — so duplicate
+  // inserts, updates and erases of missing keys, and revive-after-erase
+  // are all common. Stale pre-checkpoint segments are left on disk so
+  // every shard also skips records.
+  const std::string prefix = TempPrefix("recover-fold-oracle");
+  test_util::RemovePrefixFiles(prefix);
+  constexpr int64_t kSpace = 16000;
+  ShardedOptions options = Opts(4);
+  options.recovery_threads = 4;
+  options.tier_prefix = prefix;
+  std::mt19937_64 rng(1802);  // pinned
+  std::map<int64_t, int64_t> oracle;
+  std::vector<int64_t> bounds;
+  const auto shard_of = [&](int64_t key) {
+    return static_cast<size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), key) - bounds.begin());
+  };
+  std::vector<size_t> skipped(4, 0), replayed(4, 0);
+  std::set<int64_t> cold_segment_keys, cold_changed;
+  // One random logged op, its result checked against the oracle; counted
+  // per checkpoint shard in `logged`.
+  const auto random_op = [&](Sharded* index, std::vector<size_t>* logged) {
+    const int64_t key = static_cast<int64_t>(rng() % (kSpace / 2)) * 2;
+    const int64_t payload = static_cast<int64_t>(rng() % 100000);
+    bool applied = false, expected = false;
+    switch (rng() % 3) {
+      case 0:
+        applied = index->Insert(key, payload);
+        expected = oracle.emplace(key, payload).second;
+        break;
+      case 1:
+        applied = index->Update(key, payload);
+        expected = oracle.count(key) != 0;
+        if (expected) oracle[key] = payload;
+        break;
+      default:
+        applied = index->Erase(key);
+        expected = oracle.erase(key) != 0;
+        break;
+    }
+    ASSERT_EQ(applied, expected) << "key " << key;
+    ++(*logged)[shard_of(key)];
+    if (applied && cold_segment_keys.count(key) != 0) cold_changed.insert(key);
+  };
+  const auto keys_in = [&](size_t shard) {
+    size_t n = 0;
+    for (const auto& [key, payload] : oracle) n += shard_of(key) == shard;
+    return n;
+  };
+  size_t live_cold_delta = 0;
+  {
+    Sharded index(options);
+    std::vector<int64_t> keys, payloads;
+    for (int64_t k = 0; k < kSpace; k += 4) {
+      keys.push_back(k);
+      payloads.push_back(k);
+      oracle[k] = k;
+    }
+    index.BulkLoad(keys.data(), payloads.data(), keys.size());
+    bounds = index.ShardBoundaries();
+    ASSERT_EQ(bounds.size(), 3u);
+    ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kNone)),
+              WalStatus::kOk);
+    ASSERT_EQ(index.DemoteShard(1), SnapshotStatus::kOk);
+    for (auto it = oracle.lower_bound(bounds[1]);
+         it != oracle.end() && it->first < bounds[2];) {
+      ASSERT_TRUE(index.Erase(it->first));
+      ++skipped[2];
+      it = oracle.erase(it);
+    }
+    for (int i = 0; i < 3000; ++i) random_op(&index, &skipped);
+    // Drop the cleared shard's new keys so it checkpoints empty.
+    for (auto it = oracle.lower_bound(bounds[1]);
+         it != oracle.end() && it->first < bounds[2];) {
+      ASSERT_TRUE(index.Erase(it->first));
+      ++skipped[2];
+      it = oracle.erase(it);
+    }
+    // A clean overlay: the checkpoint then references this segment, so
+    // the live cold shard and the recovered one share a base.
+    ASSERT_EQ(index.CompactShard(1), SnapshotStatus::kOk);
+    const std::vector<std::string> stash = StashSegments(prefix);
+    ASSERT_EQ(index.SaveTo(prefix), SnapshotStatus::kOk);
+    ASSERT_GT(RestoreSweptSegments(stash), 0u);
+    for (const auto& [key, payload] : oracle) {
+      if (shard_of(key) == 1) cold_segment_keys.insert(key);
+    }
+    for (int i = 0; i < 4000; ++i) random_op(&index, &replayed);
+    ASSERT_TRUE(index.Rebalance(bounds[1], kSpace));
+    ASSERT_NE(index.ShardBoundaries()[2], bounds[2]);
+    for (int i = 0; i < 3000; ++i) random_op(&index, &replayed);
+    ASSERT_EQ(index.last_wal_error(), WalStatus::kOk);
+    ASSERT_TRUE(index.IsShardCold(1));
+    live_cold_delta = index.ShardDeltaEntries(1);
+    ASSERT_EQ(index.ShardTierSize(1), keys_in(1));
+  }  // crash
+
+  ShardManifest<int64_t> manifest;
+  ASSERT_EQ(ReadManifest<int64_t>(Sharded::ManifestPath(prefix), &manifest),
+            SnapshotStatus::kOk);
+  ASSERT_EQ(manifest.shard_keys[2], 0u);  // the zero-key shape
+  ASSERT_TRUE(manifest.IsCold(1));
+
+  Sharded recovered(options);
+  wal::RecoveryReport report;
+  ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+  EXPECT_EQ(recovered.ShardBoundaries(), bounds);
+  std::vector<std::pair<int64_t, int64_t>> contents;
+  test_util::ScanAll(recovered, &contents);
+  const std::vector<std::pair<int64_t, int64_t>> expected(oracle.begin(),
+                                                          oracle.end());
+  EXPECT_EQ(contents, expected);
+  EXPECT_TRUE(recovered.CheckInvariants());
+  // The cold overlay is the one record-by-record replay builds: the live
+  // shard's (built by the write path's Shard::Replay), and by rule a
+  // segment key has an entry iff a record changed it, any other key iff
+  // it ends present.
+  size_t overlay_only = 0;
+  for (const auto& [key, payload] : oracle) {
+    overlay_only += shard_of(key) == 1 && cold_segment_keys.count(key) == 0;
+  }
+  ASSERT_GT(cold_changed.size(), 0u);
+  ASSERT_GT(overlay_only, 0u);
+  EXPECT_TRUE(recovered.IsShardCold(1));
+  EXPECT_EQ(recovered.ShardDeltaEntries(1), live_cold_delta);
+  EXPECT_EQ(recovered.ShardDeltaEntries(1),
+            cold_changed.size() + overlay_only);
+  size_t total_replayed = 0, total_skipped = 0;
+  for (size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    EXPECT_EQ(recovered.IsShardCold(i), i == 1);
+    EXPECT_EQ(recovered.ShardTierSize(i), keys_in(i));
+    if (i != 1) {
+      EXPECT_EQ(recovered.ShardDeltaEntries(i), 0u);
+    }
+    ASSERT_GT(replayed[i], 0u);
+    ASSERT_GT(skipped[i], 0u);
+    EXPECT_EQ(report.shards[i].records_replayed, replayed[i]);
+    EXPECT_EQ(report.shards[i].records_skipped, skipped[i]);
+    total_replayed += replayed[i];
+    total_skipped += skipped[i];
+  }
+  EXPECT_EQ(report.records_replayed, total_replayed);
+  EXPECT_EQ(report.records_skipped, total_skipped);
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(WalRecoveryTest, ReportTimesReadFoldAndBuildWithinTheLoad) {
+  // The three phase durations are filled on both recovery paths (with a
+  // manifest, and from the logs alone) and, being parts of LoadFrom,
+  // sum to no more than its wall time.
+  const std::string prefix = TempPrefix("recover-phases");
+  test_util::RemovePrefixFiles(prefix);
+  constexpr int64_t kN = 20000;
+  {
+    Sharded index(Opts(4));
+    ASSERT_EQ(index.EnableWal(prefix, Wal(SyncPolicy::kNone)),
+              WalStatus::kOk);
+    for (int64_t k = 0; k < kN; ++k) ASSERT_TRUE(index.Insert(k, k * 7));
+  }  // crash
+  for (const bool with_manifest : {true, false}) {
+    SCOPED_TRACE(with_manifest ? "manifest" : "logs alone");
+    if (!with_manifest) std::remove(Sharded::ManifestPath(prefix).c_str());
+    Sharded recovered(Opts(4));
+    wal::RecoveryReport report;
+    const util::Timer timer;
+    ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+    const double wall_s = timer.ElapsedSeconds();
+    EXPECT_EQ(report.records_replayed, static_cast<size_t>(kN));
+    EXPECT_GT(report.read_s, 0.0);
+    EXPECT_GT(report.fold_s, 0.0);
+    EXPECT_GT(report.build_s, 0.0);
+    EXPECT_LE(report.read_s + report.fold_s + report.build_s, wall_s);
+    ExpectDenseContents(recovered, kN);
+  }
+  test_util::RemovePrefixFiles(prefix);
 }
 
 TEST(WalRecoveryTest, AllSyncPoliciesRoundTrip) {

@@ -1,8 +1,9 @@
 // Unit tests for the WAL subsystem (src/wal/): record/segment round
 // trips, the group-commit writer under concurrent committers (a TSan
 // target), seal/rotate hand-offs, the torn-tail-vs-corruption contract
-// of the reader, and replay semantics (idempotence, checkpoint skip,
-// parent-before-child ordering).
+// of the reader, replay semantics (idempotence, checkpoint skip,
+// parent-before-child ordering), and the sorted-run fold against a
+// record-by-record oracle.
 #include "wal/log_reader.h"
 #include "wal/log_writer.h"
 #include "wal/wal_format.h"
@@ -11,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <random>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -542,6 +544,89 @@ TEST(WalReplayTest, RotationHoleIsASegmentGap) {
   EXPECT_EQ(state.size(), 1u);
   EXPECT_EQ(state.count(100), 1u);
   RemoveSegments(prefix);
+}
+
+// ---- The fold against a sequential oracle ----
+
+/// The oracle: one record applied to a map with the index ops' exact
+/// semantics (insert-if-absent, overwrite-if-present, erase). True when
+/// the record changed the map.
+bool ApplyInOrder(const Record& rec, std::map<int64_t, int64_t>* state) {
+  switch (rec.type) {
+    case WalRecordType::kInsert:
+      return state->emplace(rec.key, rec.payload).second;
+    case WalRecordType::kUpdate: {
+      auto it = state->find(rec.key);
+      if (it == state->end()) return false;
+      it->second = rec.payload;
+      return true;
+    }
+    case WalRecordType::kErase:
+      return state->erase(rec.key) != 0;
+    default:
+      return false;
+  }
+}
+
+TEST(WalFoldTest, FoldAndMergeMatchRecordByRecordReplay) {
+  // Random tails over a small key space (so duplicate inserts, updates
+  // and erases of missing keys, and revive-after-erase are all common)
+  // onto random bases: FoldTail + MergeTail must leave exactly the map
+  // that applying the records one by one leaves, and each key's
+  // from_present/from_absent outcome must say whether a record changed
+  // it.
+  std::mt19937_64 rng(1801);  // pinned
+  for (int round = 0; round < 200; ++round) {
+    const int64_t keys = 1 + static_cast<int64_t>(rng() % 40);
+    std::map<int64_t, int64_t> base;
+    for (int64_t k = 0; k < keys; ++k) {
+      if (rng() % 2 == 0) base[k] = static_cast<int64_t>(rng() % 1000);
+    }
+    std::vector<Record> tail(rng() % 120);
+    for (size_t i = 0; i < tail.size(); ++i) {
+      static constexpr WalRecordType kTypes[] = {
+          WalRecordType::kInsert, WalRecordType::kUpdate,
+          WalRecordType::kErase};
+      tail[i].lsn = i + 1;
+      tail[i].type = kTypes[rng() % 3];
+      tail[i].key = static_cast<int64_t>(rng() % keys);
+      tail[i].payload = tail[i].type == WalRecordType::kErase
+                            ? 0
+                            : static_cast<int64_t>(rng() % 1000);
+    }
+    std::map<int64_t, int64_t> oracle = base;
+    std::set<int64_t> changed;
+    for (const Record& rec : tail) {
+      if (ApplyInOrder(rec, &oracle)) changed.insert(rec.key);
+    }
+
+    const std::vector<FoldedKey<int64_t, int64_t>> run = FoldTail(tail);
+    std::set<int64_t> tail_keys;
+    for (const Record& rec : tail) tail_keys.insert(rec.key);
+    ASSERT_EQ(run.size(), tail_keys.size()) << "round " << round;
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(run[i - 1].key, run[i].key);
+      }
+      const bool in_base = base.count(run[i].key) != 0;
+      const FoldOutcome<int64_t>& o = run[i].From(in_base);
+      EXPECT_EQ(o.changed, changed.count(run[i].key) != 0)
+          << "round " << round << " key " << run[i].key;
+      EXPECT_EQ(o.present, oracle.count(run[i].key) != 0)
+          << "round " << round << " key " << run[i].key;
+    }
+    std::map<int64_t, int64_t> merged;
+    MergeTail(
+        run,
+        [&](auto&& visit) {
+          for (const auto& [key, payload] : base) visit(key, payload);
+        },
+        [&](const int64_t& key, const int64_t& payload) {
+          ASSERT_TRUE(merged.empty() || merged.rbegin()->first < key);
+          merged[key] = payload;
+        });
+    EXPECT_EQ(merged, oracle) << "round " << round;
+  }
 }
 
 TEST(WalReplayTest, SyncPoliciesAllCommitRecords) {
