@@ -572,13 +572,14 @@ class MetricsRegistry {
          "Nodes retired but not yet freed (reclamation backlog)"},
         {"epoch.global_epoch", "Current global reclamation epoch"},
         {"wal.fsyncs", "WAL fsync/fdatasync calls issued"},
-        {"wal.bytes_written", "Bytes appended to WAL segments"},
-        {"wal.commit_batches", "WAL group-commit batches flushed"},
+        {"wal.bytes_written", "Bytes copied into mapped WAL segments"},
+        {"wal.commit_batches",
+         "WAL commits: one per Log or LogBatch call"},
         {"wal.records_logged", "Records appended to the WAL"},
         {"wal.commit_wait_ns",
          "Time a committing thread waited inside WAL group commit"},
-        {"wal.commit_batch_bytes", "Bytes flushed per WAL commit batch"},
-        {"wal.commit_batch_records", "Records flushed per WAL commit batch"},
+        {"wal.commit_batch_bytes", "Bytes per multi-record WAL commit"},
+        {"wal.commit_batch_records", "Records per multi-record WAL commit"},
         {"shard.write_gate_contended",
          "Write-gate acquisitions that found the gate held"},
         {"shard.write_gate_wait_ns",

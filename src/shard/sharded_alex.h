@@ -338,11 +338,11 @@ class ShardedAlex {
   // stay in caller order) and executed as one *shard run* at a time: the
   // maximal stretch of consecutive sorted keys routing to one shard.
   // Costs amortized per run instead of per key: one write-gate shared
-  // lock, one WAL group-commit batch (one write(2) + at most one
-  // fdatasync(2) for the whole run), and — inside the shard — one epoch
-  // guard with one leaf latch per leaf run. The router runs once per run;
-  // the run ends at the first key reaching the next shard's lower bound
-  // (one comparison per key). Batches are not atomic as a unit;
+  // lock, one WAL group-commit batch (one copy into the mapped segment +
+  // at most one fdatasync(2) for the whole run), and — inside the shard —
+  // one epoch guard with one leaf latch per leaf run. The router runs once
+  // per run; the run ends at the first key reaching the next shard's lower
+  // bound (one comparison per key). Batches are not atomic as a unit;
   // each key linearizes individually, exactly like the scalar ops.
 
   /// Batched Get. Fills `payloads[i]`/`found[i]` per key (caller order);

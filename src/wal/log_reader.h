@@ -8,9 +8,13 @@
 // a record whose bytes are present but whose checksum fails at EOF); the
 // reader stops at the last intact record and reports how many bytes were
 // valid, so the caller can truncate the file and lose at most that one
-// unacknowledged record. Any defect *before* the tail region — a flipped
-// byte mid-segment, an illegal type with intact data after it — is real
-// corruption and maps to its distinct WalStatus instead.
+// unacknowledged record. A segment whose writer died while it was open
+// ends in zeros (the writer preallocates and maps it): an all-zero
+// remainder is a clean end, and a torn record followed only by zeros is
+// the torn tail. Any defect *before* the tail region — a flipped byte
+// mid-segment, an illegal type with intact data after it, a run of zeros
+// with a record after it — is real corruption and maps to its distinct
+// WalStatus instead.
 //
 // Replay is layered so the shard layer can reuse the validated pieces:
 // ReadWalLineages reads every segment file (in parallel, on a small
@@ -36,7 +40,7 @@
 // every log when no manifest exists.
 #pragma once
 
-#include <sys/stat.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -135,14 +139,49 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
   constexpr size_t kMaxFirstRecord = std::max(
       kMaxDataRecord, sizeof(WalRecordHeader) +
                           (1 + kMaxTopologyParents) * sizeof(uint64_t));
+  // A segment whose writer died while it was open ends in the zeros of
+  // its unused reservation (log_writer.h), and `zeros_at` is where that
+  // trailing zero run starts. An all-zero remainder at a record boundary
+  // is a clean end: no record is all zero (its LSN and type are >= 1). A
+  // defect followed only by zeros is the torn final record, judged by
+  // the rules above with "EOF" read as `zeros_at` — unless an intact
+  // record starts after the defect's first byte, in which case the zeros
+  // are a hole before data and EOF keeps its plain meaning. A valid
+  // record that itself ends in zero bytes parses before any of this and
+  // is never cut.
+  size_t zeros_at = data.size();
+  while (zeros_at > sizeof(header) && data[zeros_at - 1] == 0) --zeros_at;
+  const auto intact_record_after = [&](size_t from) {
+    for (size_t j = from + 1; j < zeros_at; ++j) {
+      if (data.size() - j < sizeof(WalRecordHeader)) return false;
+      WalRecordHeader rec;
+      std::memcpy(&rec, data.data() + j, sizeof(rec));
+      const size_t len = WalBodyLen<K, P>(rec.type);
+      const bool legal = len == kWalVariableBody
+                             ? ValidTopologyBodyLen(rec.body_len)
+                             : len != SIZE_MAX && rec.body_len == len;
+      if (legal && sizeof(rec) + rec.body_len <= data.size() - j &&
+          rec.checksum == WalRecordChecksum(rec, data.data() + j +
+                                                     sizeof(rec))) {
+        return true;
+      }
+    }
+    return false;
+  };
   uint64_t expected_lsn = header.start_lsn;
   size_t at = sizeof(header);
   info->valid_bytes = at;
-  while (at < data.size()) {
+  while (at < zeros_at) {
     const size_t remaining = data.size() - at;
-    const bool in_tail_span =
-        remaining <=
-        (at == sizeof(header) ? kMaxFirstRecord : kMaxDataRecord);
+    const size_t span =
+        at == sizeof(header) ? kMaxFirstRecord : kMaxDataRecord;
+    // Whether a defect whose record would end at `record_end` is torn.
+    const auto torn_before_zeros = [&](size_t record_end) {
+      return record_end >= zeros_at && !intact_record_after(at);
+    };
+    const auto in_tail_span = [&] {
+      return remaining <= span || torn_before_zeros(at + span);
+    };
     if (remaining < sizeof(WalRecordHeader)) {
       info->tail_truncated = true;  // header itself is torn
       return WalStatus::kOk;
@@ -151,7 +190,7 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
     std::memcpy(&rec, data.data() + at, sizeof(rec));
     const size_t legal_len = WalBodyLen<K, P>(rec.type);
     if (legal_len == SIZE_MAX) {
-      if (in_tail_span) {
+      if (in_tail_span()) {
         info->tail_truncated = true;
         return WalStatus::kOk;
       }
@@ -161,7 +200,7 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
                              ? !ValidTopologyBodyLen(rec.body_len)
                              : rec.body_len != legal_len;
     if (bad_len) {
-      if (in_tail_span) {
+      if (in_tail_span()) {
         info->tail_truncated = true;
         return WalStatus::kOk;
       }
@@ -173,7 +212,8 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
     }
     const uint8_t* body = data.data() + at + sizeof(rec);
     if (rec.checksum != WalRecordChecksum(rec, body)) {
-      if (at + sizeof(rec) + rec.body_len == data.size()) {
+      const size_t record_end = at + sizeof(rec) + rec.body_len;
+      if (record_end == data.size() || torn_before_zeros(record_end)) {
         info->tail_truncated = true;  // final record, torn mid-write
         return WalStatus::kOk;
       }
@@ -210,6 +250,22 @@ WalStatus ReadWalSegment(const std::string& path, WalSegmentInfo* info,
     info->valid_bytes = at;
   }
   return WalStatus::kOk;
+}
+
+/// True when a segment file holds no header: it is shorter than one, or
+/// the header's bytes are all zero (its writer reserved the file but died
+/// before storing the header). False when the file cannot be read, so the
+/// segment read reports the error.
+inline bool IsHeaderStub(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  uint8_t bytes[sizeof(WalSegmentHeader)];
+  const ssize_t n = ::pread(fd, bytes, sizeof(bytes), 0);
+  ::close(fd);
+  if (n < 0) return false;
+  return static_cast<size_t>(n) < sizeof(bytes) ||
+         std::all_of(bytes, bytes + sizeof(bytes),
+                     [](uint8_t b) { return b == 0; });
 }
 
 /// Per-shard (or per-lineage) replay accounting, so an operator can see
@@ -298,12 +354,11 @@ WalStatus ReadWalLineages(
   };
   util::ParallelFor(files.size(), threads, [&](size_t i) {
     // A crash can tear even the segment *header* of the newest segment
-    // (written but never synced). Tolerate a short file only when it is
+    // (written but never synced), or come between reserving a segment's
+    // blocks and storing its header. Tolerate such a stub only when it is
     // the last segment of its log — it cannot have held acknowledged
-    // records; anywhere else a short file is real damage.
-    struct ::stat st;
-    if (last_of_log(i) && ::stat(files[i].path.c_str(), &st) == 0 &&
-        static_cast<size_t>(st.st_size) < sizeof(WalSegmentHeader)) {
+    // records; anywhere else it is real damage.
+    if (last_of_log(i) && IsHeaderStub(files[i].path)) {
       reads[i].header_stub = true;
       return;
     }

@@ -1,21 +1,39 @@
-// Per-shard write-ahead log writer with group commit.
+// Per-shard write-ahead log writer: appends into a mapped segment, group
+// commit for fdatasync.
 //
 // One ShardLog serializes Put/Erase records for one shard (format:
-// wal_format.h). Appends are cheap — serialize into an in-memory arena
-// under a short mutex — and durability is driven by a leader/follower
-// *group commit*: the first committer whose record is not yet covered
-// steals the whole arena, writes it with one write(2) and (policy
-// permitting) one fdatasync(2), then wakes every follower whose record
-// the batch covered. While a leader is in flight, later writers keep
-// appending to the fresh arena and wait; the next leader flushes them all
-// at once. The cost of a sync therefore amortizes over every writer that
-// arrived during the previous sync, instead of charging one fsync per
-// operation.
+// wal_format.h). Appends encode each record straight into a MAP_SHARED
+// mapping of the live segment file under a short mutex. A store into a
+// shared file mapping is in the page cache when it lands, so an appended
+// record is "in the file" — visible to any reader and surviving a
+// process crash — without a write(2).
+//
+// The mapping avoids the usual hazards of mmap'd files (Crotty et al.,
+// "Are You Sure You Want to Use MMAP in Your DBMS?", CIDR 2022):
+//   - an early writeback is harmless: the segment is append-only and
+//     every record carries its own checksum;
+//   - no store can raise SIGBUS: blocks are reserved with posix_fallocate
+//     before they are mapped, nothing is stored past them, and the file
+//     is trimmed only after it is unmapped;
+//   - remapping is rare: the first chunk is kSegmentChunkBytes and a full
+//     mapping doubles, so a segment is remapped O(log size) times.
+// A failed reservation or mapping fails the log closed (sticky kIoError).
+// Closing a segment (Rotate, Seal, destruction) unmaps it and trims the
+// file to its written length, so a closed segment holds exactly the
+// header and its records. A segment whose writer died while it was open
+// ends in zeros, which the reader takes as a clean end (log_reader.h).
+//
+// Durability is a leader/follower *group commit* over fdatasync(2): the
+// first committer that needs a sync and finds none in flight runs one
+// fdatasync for every record appended so far, then wakes every follower
+// it covered. The cost of a sync therefore amortizes over every writer
+// that appended during the previous sync.
 //
 // Sync policy decides what an acknowledged Log() means:
 //   kAlways — the record is fdatasync-durable before Log() returns.
 //   kBatch  — the record has reached the file (page cache); an fdatasync
-//             is piggybacked on the first flush after batch_interval_us.
+//             is piggybacked on the first commit after batch_interval_us.
+//             A committer never waits for a sync already in flight.
 //             A crash can lose at most the last interval's records.
 //   kNone   — the record has reached the file; the OS syncs whenever.
 //
@@ -32,7 +50,7 @@
 // on the interval even when no committer arrives, bounding how long an
 // idle shard's acked batch stays page-cache-only; it is joined on Seal
 // and destruction, and Rotate waits out any in-flight clock sync before
-// swapping file descriptors.
+// swapping segments.
 //
 // Commit latency: every successful Log() records its wall-clock wait
 // (entry to commit, microseconds) in a util/histogram.h Log2Histogram,
@@ -44,6 +62,7 @@
 #pragma once
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -62,6 +81,9 @@
 
 namespace alex::wal {
 
+/// Bytes a fresh segment reserves and maps; a full mapping doubles.
+inline constexpr size_t kSegmentChunkBytes = size_t{1} << 20;
+
 template <typename K, typename P>
 class ShardLog {
  public:
@@ -76,30 +98,26 @@ class ShardLog {
         parent_wal_id_(parent_wal_id),
         seq_(seq),
         last_lsn_(start_lsn),
-        flushed_lsn_(start_lsn),
         durable_lsn_(start_lsn),
         last_sync_(std::chrono::steady_clock::now()) {}
 
-  /// Flushes what the arena still holds (best effort, no sync) and closes.
+  /// Unmaps and trims the live segment (best effort, no sync) and closes.
   ~ShardLog() {
     std::unique_lock<std::mutex> lock(mu_);
     StopClockLocked(lock);
-    WaitFlushIdleLocked(lock);
-    if (fd_ >= 0) {
-      FlushArenaLocked(/*sync=*/false);
-      ::close(fd_);
-      fd_ = -1;
-    }
+    WaitSyncIdleLocked(lock);
+    (void)CloseSegment(&seg_, /*sync=*/false);
   }
 
   ShardLog(const ShardLog&) = delete;
   ShardLog& operator=(const ShardLog&) = delete;
 
-  /// Creates (truncating) the segment file and writes its header; starts
-  /// the background sync clock when the options ask for one.
+  /// Creates (truncating) the segment file, maps it and writes its
+  /// header; starts the background sync clock when the options ask for
+  /// one.
   WalStatus Open() {
     std::unique_lock<std::mutex> lock(mu_);
-    const WalStatus status = OpenSegmentLocked();
+    const WalStatus status = OpenSegment(seq_, &seg_);
     if (status == WalStatus::kOk &&
         options_.sync_policy == SyncPolicy::kBatch &&
         options_.background_sync && !clock_thread_.joinable()) {
@@ -118,33 +136,25 @@ class ShardLog {
     std::unique_lock<std::mutex> lock(mu_);
     if (sealed_) return WalStatus::kSealed;
     if (io_error_) return WalStatus::kIoError;
-    const uint64_t lsn = ++last_lsn_;
-    AppendWalRecord<K, P>(&arena_, lsn, type, key, payload);
-    arena_lsn_ = lsn;
-    arena_records_ += 1;
-    const WalStatus status = CommitLocked(lock, lsn);
+    const size_t bytes = WalRecordBytes<K, P>(type);
+    uint8_t* out = ReserveLocked(bytes);
+    if (out == nullptr) return FailLocked(last_lsn_ + 1);
+    EncodeWalRecord<K, P>(out, ++last_lsn_, type, key, payload);
+    seg_.used += bytes;
+    CountCommit(bytes, 1);
+    const WalStatus status = CommitLocked(lock, last_lsn_);
     if (status != WalStatus::kOk) return status;
-    // Commit wait, entry to acknowledgement (the lock is held here, so
-    // the histogram needs no further synchronization).
-    const uint64_t wait_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    commit_wait_.Record(wait_ns / 1000);
-    ALEX_OBS_HIST_RECORD("wal.commit_wait_ns", wait_ns);
-    // Feed the op-context from the wait this call already measured —
-    // the slow-op trace gets the number without a second clock pair.
-    ALEX_OBS_CTX_ADD(wal_wait_ns, wait_ns);
+    RecordCommitWait(t0);
     return WalStatus::kOk;
   }
 
-  /// Appends `n` same-type records with consecutive LSNs in one arena
-  /// append and commits them as ONE group-commit batch: one wait on the
-  /// batch's last LSN (so one write(2) + at most one fdatasync(2) cover
-  /// the whole run, plus any concurrent committers it carries) and one
-  /// commit-wait histogram sample for the batch. `payloads` may be null
-  /// (erase batches carry no payload). All-or-nothing acknowledgement:
-  /// on error none of the batch may be claimed durable.
+  /// Appends `n` same-type records with consecutive LSNs and commits them
+  /// as ONE group-commit batch: one wait on the batch's last LSN (so at
+  /// most one fdatasync(2) covers the whole run, plus any concurrent
+  /// committers it carries) and one commit-wait histogram sample for the
+  /// batch. `payloads` may be null (erase batches carry no payload).
+  /// All-or-nothing acknowledgement: on error none of the batch may be
+  /// claimed durable.
   WalStatus LogBatch(WalRecordType type, const K* keys, const P* payloads,
                      size_t n) {
     if (n == 0) return WalStatus::kOk;
@@ -152,23 +162,19 @@ class ShardLog {
     std::unique_lock<std::mutex> lock(mu_);
     if (sealed_) return WalStatus::kSealed;
     if (io_error_) return WalStatus::kIoError;
-    uint64_t lsn = last_lsn_;
+    const size_t record_bytes = WalRecordBytes<K, P>(type);
+    uint8_t* out = ReserveLocked(n * record_bytes);
+    if (out == nullptr) return FailLocked(last_lsn_ + 1);
     for (size_t i = 0; i < n; ++i) {
-      AppendWalRecord<K, P>(&arena_, ++lsn, type, keys[i],
-                            payloads == nullptr ? nullptr : &payloads[i]);
+      out += EncodeWalRecord<K, P>(
+          out, ++last_lsn_, type, keys[i],
+          payloads == nullptr ? nullptr : &payloads[i]);
     }
-    last_lsn_ = lsn;
-    arena_lsn_ = lsn;
-    arena_records_ += n;
-    const WalStatus status = CommitLocked(lock, lsn);
+    seg_.used += n * record_bytes;
+    CountCommit(n * record_bytes, n);
+    const WalStatus status = CommitLocked(lock, last_lsn_);
     if (status != WalStatus::kOk) return status;
-    const uint64_t wait_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    commit_wait_.Record(wait_ns / 1000);
-    ALEX_OBS_HIST_RECORD("wal.commit_wait_ns", wait_ns);
-    ALEX_OBS_CTX_ADD(wal_wait_ns, wait_ns);
+    RecordCommitWait(t0);
     return WalStatus::kOk;
   }
 
@@ -185,84 +191,67 @@ class ShardLog {
     if (parents.empty() || parents.size() > kMaxTopologyParents) {
       return WalStatus::kBadRecordLength;
     }
-    WaitFlushIdleLocked(lock);
-    const uint64_t lsn = ++last_lsn_;
-    AppendWalTopologyRecord(&arena_, lsn, parents);
-    arena_lsn_ = lsn;
-    arena_records_ += 1;
-    if (!FlushArenaLocked(/*sync=*/true)) {
-      io_error_ = true;
-      ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, wal_id_, lsn,
-                     static_cast<int64_t>(WalStatus::kIoError), 0);
-      return WalStatus::kIoError;
-    }
-    return WalStatus::kOk;
+    WaitSyncIdleLocked(lock);
+    const size_t bytes = WalTopologyRecordBytes(parents.size());
+    uint8_t* out = ReserveLocked(bytes);
+    if (out == nullptr) return FailLocked(last_lsn_ + 1);
+    EncodeWalTopologyRecord(out, ++last_lsn_, parents);
+    seg_.used += bytes;
+    ALEX_OBS_COUNTER_ADD("wal.bytes_written", bytes);
+    return LeadSync(lock) ? WalStatus::kOk : WalStatus::kIoError;
   }
 
-  /// Ends the log: appends a kSeal record at the final LSN, flushes,
-  /// syncs, closes. Caller must exclude concurrent Log() calls. The seal
-  /// is what lets recovery distinguish "this log is complete by design"
-  /// (a split victim) from a log that merely stops.
+  /// Ends the log: appends a kSeal record at the final LSN, then unmaps,
+  /// trims, syncs and closes the segment. Caller must exclude concurrent
+  /// Log() calls. The seal is what lets recovery distinguish "this log is
+  /// complete by design" (a split victim) from a log that merely stops.
   WalStatus Seal() {
     std::unique_lock<std::mutex> lock(mu_);
     StopClockLocked(lock);  // the log is ending; the clock must not
                             // touch the fd past this point
-    WaitFlushIdleLocked(lock);
+    WaitSyncIdleLocked(lock);
     if (sealed_) return WalStatus::kOk;
     if (io_error_) return WalStatus::kIoError;
-    const uint64_t lsn = ++last_lsn_;
+    const size_t bytes = WalRecordBytes<K, P>(WalRecordType::kSeal);
+    uint8_t* out = ReserveLocked(bytes);
+    if (out == nullptr) return FailLocked(last_lsn_ + 1);
     const K unused{};  // kSeal has no body; the key is never serialized
-    AppendWalRecord<K, P>(&arena_, lsn, WalRecordType::kSeal, unused,
+    EncodeWalRecord<K, P>(out, ++last_lsn_, WalRecordType::kSeal, unused,
                           nullptr);
-    arena_lsn_ = lsn;
-    arena_records_ += 1;
-    if (!FlushArenaLocked(/*sync=*/true)) {
-      io_error_ = true;
-      ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, wal_id_, lsn,
-                     static_cast<int64_t>(WalStatus::kIoError), 0);
-      return WalStatus::kIoError;
-    }
-    ::close(fd_);
-    fd_ = -1;
+    seg_.used += bytes;
+    ALEX_OBS_COUNTER_ADD("wal.bytes_written", bytes);
+    if (!CloseSegment(&seg_, /*sync=*/true)) return FailLocked(last_lsn_);
+    durable_lsn_ = last_lsn_;
     sealed_ = true;
     return WalStatus::kOk;
   }
 
   /// Checkpoint rotation: opens segment seq+1 (whose header records the
   /// current LSN as its watershed), then closes the old segment. On
-  /// failure the old segment stays current, so the log never loses its
-  /// tail. Caller must exclude concurrent Log() calls and is responsible
-  /// for deleting the superseded segment once its checkpoint committed.
-  /// `old_path` (optional) receives the superseded segment's path.
+  /// failure to open, the old segment stays current, so the log never
+  /// loses its tail. Caller must exclude concurrent Log() calls and is
+  /// responsible for deleting the superseded segment once its checkpoint
+  /// committed. `old_path` (optional) receives the superseded segment's
+  /// path.
   WalStatus Rotate(std::string* old_path = nullptr) {
     std::unique_lock<std::mutex> lock(mu_);
     // The clock thread may be mid-fdatasync with the mutex dropped; the
     // fd must not be swapped out from under it. (It survives rotation —
     // only Seal and destruction stop it.)
-    WaitFlushIdleLocked(lock);
+    WaitSyncIdleLocked(lock);
     if (sealed_) return WalStatus::kSealed;
     if (io_error_) return WalStatus::kIoError;
-    if (!FlushArenaLocked(/*sync=*/false)) {
-      io_error_ = true;
-      ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, wal_id_,
-                     last_lsn_, static_cast<int64_t>(WalStatus::kIoError), 0);
-      return WalStatus::kIoError;
-    }
-    const int old_fd = fd_;
+    Segment next;
+    const WalStatus status = OpenSegment(seq_ + 1, &next);
+    if (status != WalStatus::kOk) return status;
     const uint64_t old_seq = seq_;
-    fd_ = -1;
-    seq_ += 1;
-    const WalStatus status = OpenSegmentLocked();
-    if (status != WalStatus::kOk) {
-      fd_ = old_fd;  // keep the old segment current
-      seq_ = old_seq;
-      return status;
-    }
-    ::close(old_fd);
+    const bool closed = CloseSegment(&seg_, /*sync=*/false);
+    seg_ = next;
+    seq_ = old_seq + 1;
     if (old_path != nullptr) {
       *old_path = WalSegmentPath(prefix_, wal_id_, old_seq);
     }
-    flushed_lsn_ = last_lsn_;
+    if (!closed) return FailLocked(last_lsn_);
     durable_lsn_ = last_lsn_;
     return WalStatus::kOk;
   }
@@ -297,22 +286,32 @@ class ShardLog {
   }
 
  private:
-  WalStatus OpenSegmentLocked() {
-    const std::string path = WalSegmentPath(prefix_, wal_id_, seq_);
-    fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (fd_ < 0) return WalStatus::kIoError;
-    // Persist the directory entry: fdatasync(fd_) makes record *data*
+  /// One open segment file and its mapping.
+  struct Segment {
+    int fd = -1;
+    uint8_t* map = nullptr;
+    size_t mapped = 0;  ///< bytes reserved in the file and mapped
+    size_t used = 0;    ///< bytes written: header + records
+  };
+
+  /// Creates segment `seq`, reserves and maps its first chunk, and stores
+  /// its header (start_lsn = last_lsn_). On failure `*out` is untouched;
+  /// the file may be left empty or all zeros, which recovery reads as a
+  /// stub that never held a record.
+  WalStatus OpenSegment(uint64_t seq, Segment* out) {
+    const std::string path = WalSegmentPath(prefix_, wal_id_, seq);
+    Segment seg;
+    seg.fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_TRUNC, 0644);
+    if (seg.fd < 0) return WalStatus::kIoError;
+    // Persist the directory entry: fdatasync(fd) makes record *data*
     // durable but not the file's existence — without this, a power loss
     // after a rotation could vanish the whole segment, acknowledged
     // records included.
-    {
-      std::string dir, base;
-      SplitPrefixPath(prefix_, &dir, &base);
-      if (!SyncPath(dir)) {
-        ::close(fd_);
-        fd_ = -1;
-        return WalStatus::kIoError;
-      }
+    std::string dir, base;
+    SplitPrefixPath(prefix_, &dir, &base);
+    if (!SyncPath(dir) || !MapChunk(&seg, kSegmentChunkBytes)) {
+      ::close(seg.fd);
+      return WalStatus::kIoError;
     }
     WalSegmentHeader header;
     header.magic = internal::kWalMagic;
@@ -321,31 +320,102 @@ class ShardLog {
     header.payload_size = sizeof(P);
     header.wal_id = wal_id_;
     header.parent_wal_id = parent_wal_id_;
-    header.seq = seq_;
+    header.seq = seq;
     header.start_lsn = last_lsn_;
     header.header_checksum = WalHeaderChecksum(header);
-    if (!WriteAll(&header, sizeof(header))) {
-      ::close(fd_);
-      fd_ = -1;
-      return WalStatus::kIoError;
-    }
+    std::memcpy(seg.map, &header, sizeof(header));
+    seg.used = sizeof(header);
+    *out = seg;
     return WalStatus::kOk;
   }
 
-  bool WriteAll(const void* data, size_t n) {
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    while (n > 0) {
-      const ssize_t w = ::write(fd_, bytes, n);
-      if (w <= 0) return false;
-      bytes += w;
-      n -= static_cast<size_t>(w);
+  /// Reserves the file's blocks up to `size` and maps them in place of
+  /// the current mapping. The reservation comes first, so the mapping
+  /// never covers a page past EOF. On failure the old mapping stays.
+  static bool MapChunk(Segment* seg, size_t size) {
+    if (::posix_fallocate(seg->fd, static_cast<off_t>(seg->mapped),
+                          static_cast<off_t>(size - seg->mapped)) != 0) {
+      return false;
     }
+    void* map = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_SHARED,
+                       seg->fd, 0);
+    if (map == MAP_FAILED) return false;
+    if (seg->map != nullptr) ::munmap(seg->map, seg->mapped);
+    seg->map = static_cast<uint8_t*>(map);
+    seg->mapped = size;
     return true;
   }
 
-  /// Blocks until no flush (leader or clock) is in flight. mu_ held.
-  void WaitFlushIdleLocked(std::unique_lock<std::mutex>& lock) {
-    while (flush_in_flight_) cv_.wait(lock);
+  /// Room for `n` more bytes in the live segment, doubling the mapping
+  /// when it is full. Null when the segment is closed or cannot grow.
+  /// mu_ held.
+  uint8_t* ReserveLocked(size_t n) {
+    if (seg_.map == nullptr) return nullptr;
+    if (seg_.used + n > seg_.mapped) {
+      size_t size = seg_.mapped;
+      while (seg_.used + n > size) size *= 2;
+      if (!MapChunk(&seg_, size)) return nullptr;
+    }
+    return seg_.map + seg_.used;
+  }
+
+  /// Unmaps `seg`, trims its file to the bytes written, runs the sync
+  /// that ends it when `sync` is set, and closes it. Trimming after the
+  /// unmap means no store can ever land past EOF. False on any failure;
+  /// the segment is closed either way.
+  static bool CloseSegment(Segment* seg, bool sync) {
+    if (seg->fd < 0) return true;
+    bool ok = ::munmap(seg->map, seg->mapped) == 0;
+    ok = ::ftruncate(seg->fd, static_cast<off_t>(seg->used)) == 0 && ok;
+    if (ok && sync) {
+      ok = ::fdatasync(seg->fd) == 0;
+      ALEX_OBS_COUNTER_INC("wal.fsyncs");
+    }
+    ::close(seg->fd);
+    *seg = Segment{};
+    return ok;
+  }
+
+  /// Marks the log failed (sticky) and journals it. mu_ held.
+  WalStatus FailLocked([[maybe_unused]] uint64_t lsn) {
+    io_error_ = true;
+    ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, wal_id_, lsn,
+                   static_cast<int64_t>(WalStatus::kIoError), 0);
+    return WalStatus::kIoError;
+  }
+
+  /// One commit's counters: bytes copied into the mapping and records
+  /// logged by one Log/LogBatch, which is one commit.
+  static void CountCommit([[maybe_unused]] size_t bytes,
+                          [[maybe_unused]] size_t records) {
+    ALEX_OBS_COUNTER_ADD("wal.bytes_written", bytes);
+    ALEX_OBS_COUNTER_INC("wal.commit_batches");
+    ALEX_OBS_COUNTER_ADD("wal.records_logged", records);
+    // Batch-shape distributions only for multi-record commits: single
+    // records say nothing about batching and would swamp the histograms.
+    if (records > 1) {
+      ALEX_OBS_HIST_RECORD("wal.commit_batch_bytes", bytes);
+      ALEX_OBS_HIST_RECORD("wal.commit_batch_records", records);
+    }
+  }
+
+  /// Commit wait, entry to acknowledgement. mu_ held, so the histogram
+  /// needs no further synchronization.
+  void RecordCommitWait(std::chrono::steady_clock::time_point t0) {
+    const uint64_t wait_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+    commit_wait_.Record(wait_ns / 1000);
+    ALEX_OBS_HIST_RECORD("wal.commit_wait_ns", wait_ns);
+    // Feed the op-context from the wait this call already measured —
+    // the slow-op trace gets the number without a second clock pair.
+    ALEX_OBS_CTX_ADD(wal_wait_ns, wait_ns);
+  }
+
+  /// Blocks until no sync (leader or clock) is in flight. mu_ held.
+  void WaitSyncIdleLocked(std::unique_lock<std::mutex>& lock) {
+    while (sync_in_flight_) cv_.wait(lock);
   }
 
   /// Stops and joins the background sync clock, dropping mu_ around the
@@ -359,125 +429,83 @@ class ShardLog {
     lock.lock();
   }
 
+  /// Leads one group-commit sync: claims sync_in_flight_, runs fdatasync
+  /// with mu_ dropped (appends continue meanwhile), then covers every
+  /// record appended before it started and wakes the waiters. Appends may
+  /// remap the segment meanwhile; the sync needs only the fd, which
+  /// Rotate/Seal/destruction keep open until the sync is idle.
+  bool LeadSync(std::unique_lock<std::mutex>& lock) {
+    sync_in_flight_ = true;
+    const uint64_t target = last_lsn_;
+    const int fd = seg_.fd;
+    lock.unlock();
+    const bool ok = ::fdatasync(fd) == 0;
+    ALEX_OBS_COUNTER_INC("wal.fsyncs");
+    lock.lock();
+    sync_in_flight_ = false;
+    if (!ok) {
+      FailLocked(target);
+    } else {
+      if (target > durable_lsn_) durable_lsn_ = target;
+      last_sync_ = std::chrono::steady_clock::now();
+    }
+    cv_.notify_all();
+    return ok;
+  }
+
+  bool IntervalElapsedLocked() const {
+    return std::chrono::steady_clock::now() - last_sync_ >=
+           std::chrono::microseconds(options_.batch_interval_us);
+  }
+
   /// kBatch background sync: wake every batch_interval_us and, when
-  /// flushed records are sitting unsynced past the interval with no
-  /// committer in flight, run the fdatasync a committer would have. The
-  /// leader/follower protocol is reused verbatim: the clock claims
-  /// flush_in_flight_, so committers wait on it exactly as they would on
-  /// a flushing leader, and Rotate/Seal wait it out before touching fd_.
+  /// appended records are sitting unsynced past the interval with no
+  /// sync in flight, run the fdatasync a committer would have. It leads
+  /// the sync exactly as a committer would, so Rotate/Seal wait it out
+  /// before touching the fd.
   void ClockLoop() {
     std::unique_lock<std::mutex> lock(mu_);
     while (!stop_clock_) {
       clock_cv_.wait_for(
           lock, std::chrono::microseconds(options_.batch_interval_us));
       if (stop_clock_) break;
-      if (fd_ < 0 || sealed_ || io_error_ || flush_in_flight_) continue;
-      if (durable_lsn_ >= flushed_lsn_) continue;
-      if (std::chrono::steady_clock::now() - last_sync_ <
-          std::chrono::microseconds(options_.batch_interval_us)) {
-        continue;
-      }
-      flush_in_flight_ = true;
-      const uint64_t target = flushed_lsn_;
-      lock.unlock();
-      const bool ok = ::fdatasync(fd_) == 0;
-      ALEX_OBS_COUNTER_INC("wal.fsyncs");
-      lock.lock();
-      flush_in_flight_ = false;
-      if (!ok) {
-        io_error_ = true;  // sticky, like any committer's failed sync
-        ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, wal_id_,
-                       target, static_cast<int64_t>(WalStatus::kIoError), 0);
-      } else {
-        if (target > durable_lsn_) durable_lsn_ = target;
-        last_sync_ = std::chrono::steady_clock::now();
-      }
-      cv_.notify_all();
+      if (seg_.fd < 0 || sealed_ || io_error_ || sync_in_flight_) continue;
+      if (durable_lsn_ >= last_lsn_) continue;
+      if (!IntervalElapsedLocked()) continue;
+      LeadSync(lock);
     }
   }
 
-  /// The leader/follower commit protocol: blocks until `lsn` is covered
-  /// per the sync policy (flushed for kBatch/kNone, durable for kAlways),
-  /// leading a flush of the whole arena whenever no leader is in flight.
-  /// mu_ held on entry and exit; dropped around the I/O.
+  /// Commits `lsn`, already in the mapping, per the sync policy. kNone
+  /// acknowledges at once. kBatch acknowledges at once unless the
+  /// interval has elapsed with no sync in flight, in which case this
+  /// committer leads the sync. kAlways waits until durable_lsn_ covers
+  /// `lsn`, leading a sync whenever none is in flight. mu_ held on entry
+  /// and exit; dropped around the sync.
   WalStatus CommitLocked(std::unique_lock<std::mutex>& lock, uint64_t lsn) {
-    const bool want_durable = options_.sync_policy == SyncPolicy::kAlways;
-    while ((want_durable ? durable_lsn_ : flushed_lsn_) < lsn) {
-      if (io_error_) return WalStatus::kIoError;
-      if (flush_in_flight_) {
-        // A leader is mid-flush; our record is in the arena it did NOT
-        // steal. Wait for it to finish, then (typically) lead the next
-        // batch ourselves, carrying everyone who queued meanwhile.
-        cv_.wait(lock);
-        continue;
-      }
-      flush_in_flight_ = true;
-      std::vector<uint8_t> batch;
-      batch.swap(arena_);
-      const uint64_t batch_lsn = arena_lsn_;
-      const uint64_t batch_records = arena_records_;
-      arena_records_ = 0;
-      if (!batch.empty()) {
-        ALEX_OBS_COUNTER_ADD("wal.bytes_written", batch.size());
-        ALEX_OBS_COUNTER_INC("wal.commit_batches");
-        ALEX_OBS_COUNTER_ADD("wal.records_logged", batch_records);
-        // Batch-shape distributions only when group commit actually
-        // grouped: single-record batches say nothing about batching
-        // efficiency and would swamp the histograms on uncontended
-        // writers. Exact rates and means stay derivable from the
-        // counters (bytes_written / records_logged / commit_batches).
-        if (batch_records > 1) {
-          ALEX_OBS_HIST_RECORD("wal.commit_batch_bytes", batch.size());
-          ALEX_OBS_HIST_RECORD("wal.commit_batch_records", batch_records);
+    switch (options_.sync_policy) {
+      case SyncPolicy::kNone:
+        return WalStatus::kOk;
+      case SyncPolicy::kBatch:
+        if (sync_in_flight_ || !IntervalElapsedLocked()) {
+          return WalStatus::kOk;
         }
-      }
-      bool do_sync = want_durable;
-      if (options_.sync_policy == SyncPolicy::kBatch) {
-        const auto now = std::chrono::steady_clock::now();
-        do_sync = now - last_sync_ >=
-                  std::chrono::microseconds(options_.batch_interval_us);
-      }
-      lock.unlock();
-      bool ok = WriteAll(batch.data(), batch.size());
-      if (ok && do_sync) {
-        ok = ::fdatasync(fd_) == 0;
-        ALEX_OBS_COUNTER_INC("wal.fsyncs");
-      }
-      lock.lock();
-      flush_in_flight_ = false;
-      if (!ok) {
-        io_error_ = true;
-        ALEX_OBS_EVENT(obs::EventType::kWalError, obs::kShardAll, wal_id_,
-                       batch_lsn, static_cast<int64_t>(WalStatus::kIoError),
-                       0);
-        cv_.notify_all();
-        return WalStatus::kIoError;
-      }
-      if (batch_lsn > flushed_lsn_) flushed_lsn_ = batch_lsn;
-      if (do_sync) {
-        durable_lsn_ = flushed_lsn_;
-        last_sync_ = std::chrono::steady_clock::now();
-      }
-      cv_.notify_all();
+        return LeadSync(lock) ? WalStatus::kOk : WalStatus::kIoError;
+      case SyncPolicy::kAlways:
+        while (durable_lsn_ < lsn) {
+          if (io_error_) return WalStatus::kIoError;
+          if (sync_in_flight_) {
+            // The sync in flight may have started before our append; wait
+            // for it, then (typically) lead the next one ourselves,
+            // carrying everyone who appended meanwhile.
+            cv_.wait(lock);
+            continue;
+          }
+          if (!LeadSync(lock)) return WalStatus::kIoError;
+        }
+        return WalStatus::kOk;
     }
     return WalStatus::kOk;
-  }
-
-  bool FlushArenaLocked(bool sync) {
-    if (!arena_.empty()) {
-      if (!WriteAll(arena_.data(), arena_.size())) return false;
-      ALEX_OBS_COUNTER_ADD("wal.bytes_written", arena_.size());
-      arena_.clear();
-      arena_records_ = 0;
-      flushed_lsn_ = arena_lsn_;
-    }
-    if (sync) {
-      const bool ok = ::fdatasync(fd_) == 0;
-      ALEX_OBS_COUNTER_INC("wal.fsyncs");
-      if (!ok) return false;
-      durable_lsn_ = flushed_lsn_;
-    }
-    return true;
   }
 
   const std::string prefix_;
@@ -487,17 +515,13 @@ class ShardLog {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  int fd_ = -1;
+  Segment seg_;
   uint64_t seq_;
-  uint64_t last_lsn_;     ///< highest LSN assigned (arena included)
-  uint64_t arena_lsn_ = 0;  ///< highest LSN currently in the arena
-  uint64_t arena_records_ = 0;  ///< records currently in the arena
-  uint64_t flushed_lsn_;  ///< highest LSN written to the file
+  uint64_t last_lsn_;     ///< highest LSN appended (in the mapping)
   uint64_t durable_lsn_;  ///< highest LSN covered by an fdatasync
-  bool flush_in_flight_ = false;
+  bool sync_in_flight_ = false;
   bool sealed_ = false;
   bool io_error_ = false;
-  std::vector<uint8_t> arena_;
   std::chrono::steady_clock::time_point last_sync_;
   util::Log2Histogram commit_wait_;  ///< per-commit wait, microseconds
   std::thread clock_thread_;         ///< background sync clock (kBatch)

@@ -27,7 +27,9 @@
 //
 // Every way a log file can be unusable maps to a distinct WalStatus; the
 // one *tolerated* defect is a torn tail (a crash mid-append), which the
-// reader truncates at the last intact record.
+// reader truncates at the last intact record. A segment whose writer died
+// while it was open also ends in the zeros of its unused reservation
+// (log_writer.h); an all-zero remainder after a record is a clean end.
 #pragma once
 
 #include <dirent.h>
@@ -224,51 +226,61 @@ inline uint64_t WalHeaderChecksum(const WalSegmentHeader& header) {
       &header, sizeof(WalSegmentHeader) - sizeof(uint64_t), 0);
 }
 
-/// Serializes one record (header + body) onto `out`.
+/// Bytes one record of `type` occupies (header + body). kTopology's size
+/// depends on its parent count: see WalTopologyRecordBytes.
 template <typename K, typename P>
-void AppendWalRecord(std::vector<uint8_t>* out, uint64_t lsn,
-                     WalRecordType type, const K& key, const P* payload) {
+constexpr size_t WalRecordBytes(WalRecordType type) {
+  return sizeof(WalRecordHeader) +
+         WalBodyLen<K, P>(static_cast<uint32_t>(type));
+}
+
+/// Serializes one record (header + body) to `out`, which must have room
+/// for WalRecordBytes<K, P>(type) bytes; returns the bytes written. The
+/// record is assembled locally and stored with one copy.
+template <typename K, typename P>
+size_t EncodeWalRecord(uint8_t* out, uint64_t lsn, WalRecordType type,
+                       const K& key, const P* payload) {
   WalRecordHeader header;
   header.lsn = lsn;
   header.type = static_cast<uint32_t>(type);
   header.body_len = static_cast<uint32_t>(WalBodyLen<K, P>(header.type));
-  uint8_t body[sizeof(K) + sizeof(P)];
-  size_t body_len = 0;
-  if (header.body_len >= sizeof(K)) {
-    std::memcpy(body, &key, sizeof(K));
-    body_len = sizeof(K);
-  }
+  uint8_t record[sizeof(WalRecordHeader) + sizeof(K) + sizeof(P)];
+  uint8_t* body = record + sizeof(header);
+  if (header.body_len >= sizeof(K)) std::memcpy(body, &key, sizeof(K));
   if (header.body_len == sizeof(K) + sizeof(P)) {
     std::memcpy(body + sizeof(K), payload, sizeof(P));
-    body_len += sizeof(P);
   }
   header.checksum = WalRecordChecksum(header, body);
-  const size_t at = out->size();
-  out->resize(at + sizeof(header) + body_len);
-  std::memcpy(out->data() + at, &header, sizeof(header));
-  std::memcpy(out->data() + at + sizeof(header), body, body_len);
+  std::memcpy(record, &header, sizeof(header));
+  const size_t n = sizeof(header) + header.body_len;
+  std::memcpy(out, record, n);
+  return n;
+}
+
+/// Bytes of a kTopology record listing `parents` parent wal ids.
+inline constexpr size_t WalTopologyRecordBytes(size_t parents) {
+  return sizeof(WalRecordHeader) + (1 + parents) * sizeof(uint64_t);
 }
 
 /// Serializes one kTopology record listing `parents` (at most
-/// kMaxTopologyParents, at least one) onto `out`.
-inline void AppendWalTopologyRecord(std::vector<uint8_t>* out,
-                                    uint64_t lsn,
-                                    const std::vector<uint64_t>& parents) {
+/// kMaxTopologyParents, at least one) to `out`, which must have room for
+/// WalTopologyRecordBytes(parents.size()) bytes; returns the bytes
+/// written.
+inline size_t EncodeWalTopologyRecord(uint8_t* out, uint64_t lsn,
+                                      const std::vector<uint64_t>& parents) {
   WalRecordHeader header;
   header.lsn = lsn;
   header.type = static_cast<uint32_t>(WalRecordType::kTopology);
   const uint64_t count = parents.size();
   header.body_len =
       static_cast<uint32_t>((1 + parents.size()) * sizeof(uint64_t));
-  std::vector<uint8_t> body(header.body_len);
-  std::memcpy(body.data(), &count, sizeof(count));
-  std::memcpy(body.data() + sizeof(count), parents.data(),
+  uint8_t* body = out + sizeof(header);
+  std::memcpy(body, &count, sizeof(count));
+  std::memcpy(body + sizeof(count), parents.data(),
               parents.size() * sizeof(uint64_t));
-  header.checksum = WalRecordChecksum(header, body.data());
-  const size_t at = out->size();
-  out->resize(at + sizeof(header) + body.size());
-  std::memcpy(out->data() + at, &header, sizeof(header));
-  std::memcpy(out->data() + at + sizeof(header), body.data(), body.size());
+  header.checksum = WalRecordChecksum(header, body);
+  std::memcpy(out, &header, sizeof(header));
+  return sizeof(header) + header.body_len;
 }
 
 // ---- File naming ----

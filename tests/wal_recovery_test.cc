@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
+#include <cstdlib>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -27,6 +29,7 @@
 
 #include "util/timer.h"
 #include "wal/log_reader.h"
+#include "wal/log_writer.h"
 #include "wal/wal_format.h"
 #include "scan_test_util.h"
 #include "prefix_test_util.h"
@@ -1036,6 +1039,60 @@ TEST(WalRecoveryTest, AllSyncPoliciesRoundTrip) {
     ExpectDenseContents(recovered, 400);
     test_util::RemovePrefixFiles(prefix);
   }
+}
+
+// ---- A process crash with the log's segment still mapped ----
+
+/// Inserts past two growths of a shard log's mapped segment, so the
+/// first chunk and two doublings all hold acknowledged records.
+constexpr int64_t kPastTwoGrowths = static_cast<int64_t>(
+    2 * wal::kSegmentChunkBytes /
+    wal::WalRecordBytes<int64_t, int64_t>(wal::WalRecordType::kInsert)) +
+    1000;
+
+/// Death-test child: logs kPastTwoGrowths inserts through a one-shard
+/// index, then dies by SIGKILL with the log still open. Exits with a
+/// code instead when a step fails before the kill.
+[[noreturn]] void InsertThenKill(const std::string& prefix,
+                                 SyncPolicy policy) {
+  Sharded index(Opts(1));
+  if (index.EnableWal(prefix, Wal(policy)) != WalStatus::kOk) std::_Exit(2);
+  for (int64_t k = 0; k < kPastTwoGrowths; ++k) {
+    if (!index.Insert(k, k * 7)) std::_Exit(3);
+  }
+  std::raise(SIGKILL);
+  std::_Exit(4);
+}
+
+/// Kills a child mid-log under `policy`, then recovers in this process:
+/// every acknowledged write must come back. Under kBatch and kNone an
+/// acknowledged write is in the page cache, not yet synced; the child's
+/// stores into the mapped segment outlive it, and recovery reads the
+/// segment's zero tail as a clean end. (One death test per TEST: the
+/// threadsafe style re-runs the test body up to the death statement in
+/// the child.)
+void ExpectProcessCrashKeepsEveryAcknowledgedWrite(SyncPolicy policy) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string prefix =
+      TempPrefix("recover-sigkill") + "-" + wal::ToString(policy);
+  test_util::RemovePrefixFiles(prefix);
+  EXPECT_EXIT(InsertThenKill(prefix, policy),
+              ::testing::KilledBySignal(SIGKILL), "");
+  Sharded recovered(Opts(1));
+  wal::RecoveryReport report;
+  ASSERT_EQ(recovered.LoadFrom(prefix, &report), SnapshotStatus::kOk);
+  EXPECT_FALSE(report.tail_truncated);
+  EXPECT_EQ(report.records_replayed, static_cast<size_t>(kPastTwoGrowths));
+  ExpectDenseContents(recovered, kPastTwoGrowths);
+  test_util::RemovePrefixFiles(prefix);
+}
+
+TEST(WalRecoveryDeathTest, ProcessCrashUnderBatchKeepsEveryAckedWrite) {
+  ExpectProcessCrashKeepsEveryAcknowledgedWrite(SyncPolicy::kBatch);
+}
+
+TEST(WalRecoveryDeathTest, ProcessCrashUnderNoneKeepsEveryAckedWrite) {
+  ExpectProcessCrashKeepsEveryAcknowledgedWrite(SyncPolicy::kNone);
 }
 
 }  // namespace

@@ -10,8 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <random>
 #include <cstdio>
 #include <map>
@@ -904,6 +909,397 @@ TEST(WalLogTest, CommitWaitHistogramCountsEveryAck) {
   EXPECT_EQ(hist.total(), 200u);
   // Quantiles are well-defined (values are microseconds, possibly 0).
   EXPECT_GE(hist.Quantile(0.99), hist.Quantile(0.5));
+  RemoveSegments(prefix);
+}
+
+// ---- Tail shapes of a segment whose writer died while it was open ----
+//
+// The writer appends into a preallocated mapping, so a segment it never
+// closed ends in the zeros of its unused reservation. Each shape below is
+// the bytes of one segment and the read it must give. The table is also a
+// decoder corpus: a byte-mutation harness can start from these inputs.
+
+constexpr size_t kInsertBytes = WalRecordBytes<int64_t, int64_t>(
+    WalRecordType::kInsert);
+constexpr size_t kZeroPage = 4096;  // the unused reservation's zeros
+
+struct TailShape {
+  std::string name;
+  std::vector<uint8_t> bytes;
+  WalStatus status;
+  size_t records = 0;  ///< intact records read, on kOk
+  bool tail_truncated = false;
+  size_t valid_bytes = 0;  ///< on kOk
+};
+
+/// A segment header (wal id 1, seq 1, start LSN 0) followed by `n`
+/// inserts (key i, payload i*2) at LSNs 1..n.
+std::vector<uint8_t> SegmentBytes(int64_t n) {
+  WalSegmentHeader header;
+  header.magic = internal::kWalMagic;
+  header.version = internal::kWalVersion;
+  header.key_size = sizeof(int64_t);
+  header.payload_size = sizeof(int64_t);
+  header.wal_id = 1;
+  header.seq = 1;
+  header.header_checksum = WalHeaderChecksum(header);
+  std::vector<uint8_t> bytes(sizeof(header) + n * kInsertBytes);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t payload = i * 2;
+    EncodeWalRecord<int64_t, int64_t>(
+        bytes.data() + sizeof(header) + i * kInsertBytes, i + 1,
+        WalRecordType::kInsert, i, &payload);
+  }
+  return bytes;
+}
+
+/// One encoded record, for splicing into a shape.
+std::vector<uint8_t> RecordBytes(uint64_t lsn, WalRecordType type,
+                                 int64_t key, int64_t payload) {
+  std::vector<uint8_t> out(WalRecordBytes<int64_t, int64_t>(type));
+  EncodeWalRecord<int64_t, int64_t>(out.data(), lsn, type, key, &payload);
+  return out;
+}
+
+void Append(std::vector<uint8_t>* to, const std::vector<uint8_t>& bytes) {
+  to->insert(to->end(), bytes.begin(), bytes.end());
+}
+
+void AppendZeros(std::vector<uint8_t>* to, size_t n) {
+  to->resize(to->size() + n, 0);
+}
+
+std::vector<TailShape> WalTailShapes() {
+  std::vector<TailShape> shapes;
+  const auto valid = [](int64_t records) {
+    return sizeof(WalSegmentHeader) + records * kInsertBytes;
+  };
+  // A zero remainder at a record boundary is a clean end.
+  for (const int64_t n : {0, 1, 50}) {
+    TailShape shape{"zeros after " + std::to_string(n) + " records",
+                    SegmentBytes(n), WalStatus::kOk};
+    AppendZeros(&shape.bytes, kZeroPage);
+    shape.records = n;
+    shape.valid_bytes = valid(n);
+    shapes.push_back(shape);
+  }
+  // A torn header or body followed by zeros: the torn final record. Every
+  // prefix keeps at least the record's checksum bytes, and the record
+  // ends in a non-zero byte, so no prefix reads as the whole record.
+  const std::vector<uint8_t> next = RecordBytes(
+      51, WalRecordType::kInsert, 50, int64_t{0x0807060504030201});
+  for (const size_t stored : {5, 8, 12, 20, 23, 24, 30, 39}) {
+    TailShape shape{"record torn after " + std::to_string(stored) +
+                        " bytes, then zeros",
+                    SegmentBytes(50), WalStatus::kOk};
+    shape.bytes.insert(shape.bytes.end(), next.begin(),
+                       next.begin() + stored);
+    AppendZeros(&shape.bytes, kZeroPage);
+    shape.records = 50;
+    shape.tail_truncated = true;
+    shape.valid_bytes = valid(50);
+    shapes.push_back(shape);
+  }
+  {  // a whole final record whose checksum fails, then zeros
+    TailShape shape{"final record fails its checksum, then zeros",
+                    SegmentBytes(50), WalStatus::kOk};
+    std::vector<uint8_t> bad = next;
+    bad.back() ^= 0x5A;
+    Append(&shape.bytes, bad);
+    AppendZeros(&shape.bytes, kZeroPage);
+    shape.records = 50;
+    shape.tail_truncated = true;
+    shape.valid_bytes = valid(50);
+    shapes.push_back(shape);
+  }
+  // A zero run followed by an intact record is a hole before data. It
+  // reads as it did before the zero-tail rule — kBadRecordType for these
+  // bytes — and is never silently truncated. The intact record (key 0,
+  // payload 0) ends in 19 zero bytes, so a run of up to 19 zeros leaves
+  // the last non-zero byte within one record of the run's start: only
+  // the intact-record check keeps those shapes from reading as torn.
+  const std::vector<uint8_t> zero_record =
+      RecordBytes(50, WalRecordType::kInsert, 0, 0);
+  for (const size_t run : {size_t{1}, size_t{8}, size_t{19}, size_t{24},
+                           kZeroPage}) {
+    TailShape shape{std::to_string(run) + " zeros, then an intact record",
+                    SegmentBytes(49), WalStatus::kBadRecordType};
+    AppendZeros(&shape.bytes, run);
+    Append(&shape.bytes, zero_record);
+    AppendZeros(&shape.bytes, kZeroPage);
+    shapes.push_back(shape);
+  }
+  // A valid final record that ends in zero bytes is never cut, whether the
+  // segment was trimmed (closed) or not (open).
+  for (const bool open : {false, true}) {
+    for (const WalRecordType type :
+         {WalRecordType::kInsert, WalRecordType::kErase}) {
+      TailShape shape{
+          std::string(open ? "open" : "closed") + " segment, final " +
+              (type == WalRecordType::kInsert ? "insert" : "erase") +
+              " of key 0",
+          SegmentBytes(49), WalStatus::kOk};
+      Append(&shape.bytes, RecordBytes(50, type, 0, 0));
+      shape.records = 50;
+      shape.valid_bytes = shape.bytes.size();
+      if (open) AppendZeros(&shape.bytes, kZeroPage);
+      shapes.push_back(shape);
+    }
+  }
+  return shapes;
+}
+
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+TEST(WalReaderTest, TailShapesOfAnOpenSegmentReadAsSpecified) {
+  const std::string path = TempPrefix("wal-tailshape");
+  for (const TailShape& shape : WalTailShapes()) {
+    SCOPED_TRACE(shape.name);
+    WriteFile(path, shape.bytes);
+    WalSegmentInfo info;
+    std::vector<Record> records;
+    const WalStatus status = ReadSeg(path, &info, &records);
+    ASSERT_EQ(status, shape.status);
+    if (status != WalStatus::kOk) {
+      EXPECT_FALSE(info.tail_truncated);  // corruption, never truncation
+      continue;
+    }
+    EXPECT_EQ(info.tail_truncated, shape.tail_truncated);
+    EXPECT_EQ(info.valid_bytes, shape.valid_bytes);
+    ASSERT_EQ(records.size(), shape.records);
+    EXPECT_EQ(info.last_lsn, shape.records);
+    for (size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].lsn, i + 1);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalReaderTest, RecoveryTrimsATornRecordBeforeZerosAndKeepsAZeroTail) {
+  // Through ReplayWal: a torn record before zeros is truncated away with
+  // the zeros; a clean zero tail is left as it is and reads the same
+  // again.
+  const std::string prefix = TempPrefix("wal-zerotail");
+  RemoveSegments(prefix);
+  const std::string path = WalSegmentPath(prefix, 1, 1);
+  std::vector<uint8_t> bytes = SegmentBytes(20);
+  const std::vector<uint8_t> next =
+      RecordBytes(21, WalRecordType::kInsert, 20, 40);
+  bytes.insert(bytes.end(), next.begin(), next.begin() + 30);
+  AppendZeros(&bytes, kZeroPage);
+  WriteFile(path, bytes);
+  std::map<int64_t, int64_t> state;
+  RecoveryReport report;
+  ASSERT_EQ(Replay(prefix, {}, &state, &report), WalStatus::kOk);
+  EXPECT_TRUE(report.tail_truncated);
+  EXPECT_EQ(state.size(), 20u);
+  EXPECT_EQ(FileSize(path),
+            static_cast<long>(sizeof(WalSegmentHeader) + 20 * kInsertBytes));
+
+  bytes = SegmentBytes(20);
+  AppendZeros(&bytes, kZeroPage);
+  WriteFile(path, bytes);
+  for (int pass = 0; pass < 2; ++pass) {
+    state.clear();
+    ASSERT_EQ(Replay(prefix, {}, &state, &report), WalStatus::kOk);
+    EXPECT_FALSE(report.tail_truncated);
+    EXPECT_EQ(state.size(), 20u);
+    EXPECT_EQ(FileSize(path), static_cast<long>(bytes.size()));
+  }
+  RemoveSegments(prefix);
+}
+
+TEST(WalReaderTest, ZeroHeaderOfTheNewestSegmentIsAStub) {
+  // A writer that died between reserving a segment and storing its
+  // header leaves a file of zeros. As the last segment of its log it
+  // held nothing and is skipped; anywhere else it is damage.
+  const std::string prefix = TempPrefix("wal-zerohdr");
+  RemoveSegments(prefix);
+  std::vector<uint8_t> first = SegmentBytes(10);
+  WriteFile(WalSegmentPath(prefix, 1, 1), first);
+  WriteFile(WalSegmentPath(prefix, 1, 2),
+            std::vector<uint8_t>(kZeroPage, 0));
+  std::map<int64_t, int64_t> state;
+  RecoveryReport report;
+  ASSERT_EQ(Replay(prefix, {}, &state, &report), WalStatus::kOk);
+  EXPECT_TRUE(report.tail_truncated);
+  EXPECT_EQ(state.size(), 10u);
+
+  // The same zero file followed by a later segment of the log.
+  WriteFile(WalSegmentPath(prefix, 1, 3), first);
+  state.clear();
+  EXPECT_EQ(Replay(prefix, {}, &state, &report), WalStatus::kBadMagic);
+  RemoveSegments(prefix);
+}
+
+// ---- The mapped segment ----
+
+/// The bytes a closed segment must hold: its header and its records.
+long ClosedSize(size_t records) {
+  return static_cast<long>(sizeof(WalSegmentHeader) +
+                           records * kInsertBytes);
+}
+
+/// Records that fill the first chunk and two doublings past it.
+constexpr int64_t kPastTwoGrowths =
+    static_cast<int64_t>(2 * kSegmentChunkBytes / kInsertBytes) + 1000;
+
+TEST(WalLogTest, LiveSegmentReadsCleanAndClosesToItsRecords) {
+  // While the log is open the file is its reservation: records, then
+  // zeros, which read as a clean end. Closing trims it to its records.
+  const std::string prefix = TempPrefix("wal-live");
+  RemoveSegments(prefix);
+  const std::string path = WalSegmentPath(prefix, 1, 1);
+  {
+    Log log(prefix, 1, 0, 1, 0, NoSync());
+    ASSERT_EQ(log.Open(), WalStatus::kOk);
+    EXPECT_EQ(FileSize(path), static_cast<long>(kSegmentChunkBytes));
+    WalSegmentInfo info;
+    std::vector<Record> records;
+    ASSERT_EQ(ReadSeg(path, &info, &records), WalStatus::kOk);
+    EXPECT_TRUE(records.empty());
+    EXPECT_FALSE(info.tail_truncated);
+    for (int64_t k = 0; k < kPastTwoGrowths; ++k) {
+      const int64_t v = k * 2;
+      ASSERT_EQ(log.Log(WalRecordType::kInsert, k, &v), WalStatus::kOk);
+    }
+    EXPECT_EQ(FileSize(path), static_cast<long>(4 * kSegmentChunkBytes));
+    ASSERT_EQ(ReadSeg(path, &info, &records), WalStatus::kOk);
+    EXPECT_FALSE(info.tail_truncated);
+    EXPECT_EQ(records.size(), static_cast<size_t>(kPastTwoGrowths));
+    EXPECT_EQ(info.valid_bytes, static_cast<uint64_t>(
+                                    ClosedSize(kPastTwoGrowths)));
+  }
+  EXPECT_EQ(FileSize(path), ClosedSize(kPastTwoGrowths));
+  RemoveSegments(prefix);
+}
+
+TEST(WalLogTest, MappedGrowthUnderConcurrentWritersAndClockSync) {
+  // The TSan target of the mapped segment: writers on several threads
+  // cross three growths while the background clock runs fdatasync on
+  // the same file; then a rotation and a seal. Every record reads back
+  // in LSN order, and each closed segment is exactly header + records.
+  const std::string prefix = TempPrefix("wal-mapgrow");
+  RemoveSegments(prefix);
+  constexpr int kThreads = 4;
+  constexpr int64_t kPerThread =
+      static_cast<int64_t>(4 * kSegmentChunkBytes / kInsertBytes) /
+          kThreads + 1000;
+  constexpr int64_t kAfterRotate = 500;
+  WalOptions options;
+  options.sync_policy = SyncPolicy::kBatch;
+  options.batch_interval_us = 200;
+  options.background_sync = true;
+  Log log(prefix, 1, 0, 1, 0, options);
+  ASSERT_EQ(log.Open(), WalStatus::kOk);
+  const auto write = [&log](int64_t first, int64_t count) {
+    for (int64_t k = first; k < first + count; ++k) {
+      const int64_t v = k * 10;
+      ASSERT_EQ(log.Log(WalRecordType::kInsert, k, &v), WalStatus::kOk);
+    }
+  };
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back(write, t * kPerThread, kPerThread);
+  }
+  for (auto& w : writers) w.join();
+  const size_t first_segment = kThreads * kPerThread;
+  ASSERT_EQ(log.Rotate(), WalStatus::kOk);
+  std::thread late(write, first_segment, kAfterRotate);
+  late.join();
+  ASSERT_EQ(log.Seal(), WalStatus::kOk);
+
+  EXPECT_EQ(FileSize(WalSegmentPath(prefix, 1, 1)),
+            ClosedSize(first_segment));
+  EXPECT_EQ(FileSize(WalSegmentPath(prefix, 1, 2)),
+            ClosedSize(kAfterRotate) +
+                static_cast<long>(sizeof(WalRecordHeader)));  // + seal
+  std::vector<Record> all;
+  for (const uint64_t seq : {1, 2}) {
+    WalSegmentInfo info;
+    std::vector<Record> records;
+    ASSERT_EQ(ReadSeg(WalSegmentPath(prefix, 1, seq), &info, &records),
+              WalStatus::kOk);
+    EXPECT_FALSE(info.tail_truncated);
+    EXPECT_EQ(info.sealed, seq == 2);
+    all.insert(all.end(), records.begin(), records.end());
+  }
+  ASSERT_EQ(all.size(), first_segment + kAfterRotate);
+  std::set<int64_t> keys;
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].lsn, i + 1);
+    EXPECT_EQ(all[i].payload, all[i].key * 10);
+    keys.insert(all[i].key);
+  }
+  EXPECT_EQ(keys.size(), all.size());
+  RemoveSegments(prefix);
+}
+
+/// Death-test child of FailedGrowthFailsClosedWithoutSigbus: logs under a
+/// file-size limit until growth fails, checks the failure is sticky, and
+/// exits 0 only when every check held (a distinct code names the first
+/// that did not).
+[[noreturn]] void LogUntilGrowthFails(const std::string& prefix,
+                                      int64_t fits) {
+  struct rlimit limit;
+  limit.rlim_cur = limit.rlim_max = 3 * kSegmentChunkBytes;
+  if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(2);
+  std::signal(SIGXFSZ, SIG_IGN);
+  {
+    Log log(prefix, 1, 0, 1, 0, NoSync());
+    if (log.Open() != WalStatus::kOk) std::_Exit(3);
+    int64_t acked = 0;
+    WalStatus status = WalStatus::kOk;
+    for (int64_t k = 0; status == WalStatus::kOk; ++k) {
+      const int64_t v = k * 2;
+      status = log.Log(WalRecordType::kInsert, k, &v);
+      if (status == WalStatus::kOk) ++acked;
+    }
+    if (status != WalStatus::kIoError || acked != fits) std::_Exit(4);
+    const int64_t k = 0, v = 0;
+    for (int again = 0; again < 3; ++again) {
+      if (log.Log(WalRecordType::kInsert, k, &v) != WalStatus::kIoError) {
+        std::_Exit(5);
+      }
+    }
+    if (log.LogBatch(WalRecordType::kErase, &k, nullptr, 1) !=
+        WalStatus::kIoError) {
+      std::_Exit(6);
+    }
+  }  // unmaps and trims, under the limit
+  std::_Exit(0);
+}
+
+TEST(WalLogDeathTest, FailedGrowthFailsClosedWithoutSigbus) {
+  // In a child: a file-size limit between the first chunk's doubling and
+  // the next makes the second growth fail. Log must return kIoError and
+  // keep returning it; the child exits normally (no SIGBUS). The parent
+  // then reads exactly the acknowledged prefix: the records that fit in
+  // two chunks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string prefix = TempPrefix("wal-fsize");
+  RemoveSegments(prefix);
+  const int64_t fits = static_cast<int64_t>(
+      (2 * kSegmentChunkBytes - sizeof(WalSegmentHeader)) / kInsertBytes);
+  EXPECT_EXIT(LogUntilGrowthFails(prefix, fits),
+              ::testing::ExitedWithCode(0), "");
+  WalSegmentInfo info;
+  std::vector<Record> records;
+  const std::string path = WalSegmentPath(prefix, 1, 1);
+  ASSERT_EQ(ReadSeg(path, &info, &records), WalStatus::kOk);
+  EXPECT_FALSE(info.tail_truncated);
+  ASSERT_EQ(records.size(), static_cast<size_t>(fits));
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].lsn, i + 1);
+    EXPECT_EQ(records[i].payload, records[i].key * 2);
+  }
+  EXPECT_EQ(FileSize(path), ClosedSize(fits));
   RemoveSegments(prefix);
 }
 
